@@ -54,16 +54,18 @@ bench-smoke:
 
 # bench-json runs every benchmark once and captures the results — name,
 # ns/op, allocation counts (-benchmem), custom metrics like req/s — as a
-# machine-readable perf artifact. One file per PR
-# (BENCH_JSON=BENCH_PR<n>.json) makes the repository's perf trajectory
-# diffable instead of being archaeology over CI logs. It also subsumes
-# bench-smoke: every benchmark path must still compile and run.
+# machine-readable perf artifact. By default it writes the untracked
+# bench.json, so a routine capture never overwrites a committed baseline;
+# a PR that records a new baseline passes BENCH_JSON=BENCH_PR<n>.json,
+# which keeps the repository's perf trajectory diffable instead of being
+# archaeology over CI logs. It also subsumes bench-smoke: every benchmark
+# path must still compile and run.
 #
 # The run is pinned for file-to-file comparability (bench-compare diffs
 # these artifacts): GOMAXPROCS is fixed so benchmark names carry no -N
 # procs suffix and scheduling is stable, and -benchtime is fixed at one
 # iteration. Override BENCH_PROCS only together with a fresh baseline.
-BENCH_JSON  ?= BENCH_PR10.json
+BENCH_JSON  ?= bench.json
 BENCH_PROCS ?= 1
 
 bench-json:
@@ -73,7 +75,8 @@ bench-json:
 	@echo "wrote $(BENCH_JSON)"
 
 # bench-compare is the perf-regression gate: it diffs the freshly captured
-# BENCH_JSON against the committed baseline BASE and fails on a
+# BENCH_JSON against the committed baseline BASE (the newest BENCH_PR<n>
+# file, the first to contain BenchmarkMetroRound) and fails on a
 # >BENCH_THRESHOLD ns/op regression of any hot benchmark (the named
 # end-to-end paths below; one-shot timings of sub-millisecond benchmarks
 # are too noisy to gate). The default 15% threshold assumes BASE was
@@ -88,7 +91,7 @@ bench-json:
 # benchmark names prove it effectively ran at GOMAXPROCS=1 — so it is
 # comparable to the pinned runs; from PR 5 on, baselines and fresh runs
 # share identical settings by construction.
-BASE            ?= BENCH_PR6.json
+BASE            ?= BENCH_PR10.json
 BENCH_THRESHOLD ?= 0.15
 HOT_BENCHES     ?= BenchmarkFig5Homogeneous,BenchmarkFig6Heterogeneous,BenchmarkSimRun/warm,BenchmarkAdmissionThroughput/shards=1,BenchmarkMetroRound,BenchmarkWarmSlaveSteadySolve
 
@@ -195,7 +198,7 @@ smoke:
 # drop (committed BENCH_PR<n>.json baselines are durable outputs, not
 # scratch, and are left alone).
 clean:
-	rm -f coverage.out bench.raw metro.raw metro.out cpu.out mem.out *.pprof *.prof
+	rm -f coverage.out bench.raw bench.json metro.raw metro.out cpu.out mem.out *.pprof *.prof
 	rm -rf ovnes-data
 
 # cover enforces the statement-coverage floor over the whole module. The

@@ -80,6 +80,15 @@ import (
 	"repro/internal/topology"
 )
 
+// A client gets this long to send its request headers, and its whole
+// request, before the server drops the connection: a peer trickling bytes
+// cannot hold a connection and its goroutine open indefinitely. Responses
+// are not time-limited.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ovnes: ")
@@ -152,7 +161,7 @@ func main() {
 	var servers []*http.Server
 	errc := make(chan error, 8)
 	serve := func(addr, name string, h http.Handler) {
-		srv := &http.Server{Addr: addr, Handler: h}
+		srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
 		servers = append(servers, srv)
 		go func() {
 			log.Printf("%s on http://%s", name, addr)

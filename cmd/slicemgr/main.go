@@ -27,6 +27,15 @@ import (
 	"repro/internal/ctrlplane"
 )
 
+// A client gets this long to send its request headers, and its whole
+// request, before the server drops the connection: a peer trickling bytes
+// cannot hold a connection and its goroutine open indefinitely. Responses
+// are not time-limited.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("slicemgr: ")
@@ -41,7 +50,7 @@ func main() {
 	defer stop()
 
 	mgr := ctrlplane.NewSliceManager(*orch)
-	srv := &http.Server{Addr: *listen, Handler: mgr.Handler()}
+	srv := &http.Server{Addr: *listen, Handler: mgr.Handler(), ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("slice manager on http://%s (orchestrator %s)", *listen, *orch)

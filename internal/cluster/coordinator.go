@@ -149,8 +149,8 @@ func (c *Coordinator) Listen(addr string) (string, error) {
 }
 
 // AddConn adopts an established connection (TCP from Listen, or one end
-// of a net.Pipe for loopback workers) and runs the join handshake in the
-// background.
+// of a net.Pipe for loopback workers) and runs the join handshake —
+// hello, welcome, ready — in the background.
 func (c *Coordinator) AddConn(conn net.Conn) {
 	go func() {
 		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -160,7 +160,6 @@ func (c *Coordinator) AddConn(conn net.Conn) {
 			conn.Close()
 			return
 		}
-		conn.SetReadDeadline(time.Time{})
 		m := &memberConn{
 			id:       hello.Worker,
 			conn:     conn,
@@ -173,6 +172,18 @@ func (c *Coordinator) AddConn(conn net.Conn) {
 			conn.Close()
 			return
 		}
+		// The join is two-sided: the worker checks the welcome's epoch
+		// against its EpochGate and answers ready echoing it. Only then is
+		// it a member, so a worker that already follows a newer leader —
+		// and drops the connection instead — never shows up here.
+		ready, err := readFrame(conn)
+		if err != nil || ready.Type != MsgReady || ready.Epoch != c.opts.Epoch {
+			c.opts.Log.Warn().Err(err).Str("worker", m.id).Msg("cluster: rejected connection: no ready for this epoch")
+			conn.Close()
+			return
+		}
+		conn.SetReadDeadline(time.Time{})
+		m.lastSeen = time.Now()
 		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()

@@ -35,12 +35,7 @@ func blackHoleWorker(t *testing.T, c *Coordinator, id string) (roundSeen <-chan 
 	c.AddConn(server)
 	seen := make(chan struct{})
 	go func() {
-		frame, err := encodeFrame(&Message{Type: MsgHello, Worker: id})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := client.Write(frame); err != nil {
+		if err := joinByHand(client, id); err != nil {
 			return
 		}
 		fired := false
@@ -195,12 +190,10 @@ func TestHeartbeatTimeoutRemovesSilentWorker(t *testing.T) {
 	server, client := net.Pipe()
 	coord.AddConn(server)
 	// Join by hand, then go silent: no pings, conn held open.
-	frame, err := encodeFrame(&Message{Type: MsgHello, Worker: "mute"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	go func() {
-		client.Write(frame)
+		if err := joinByHand(client, "mute"); err != nil {
+			return
+		}
 		for {
 			if _, err := readFrame(client); err != nil {
 				return

@@ -42,7 +42,7 @@
 //
 // Messages travel as length-prefixed CRC-32C-checked JSON frames (the
 // internal/wal framing idiom) over one TCP connection per worker:
-// hello/welcome at join, assign (domain spec) lazily before a domain's
+// hello/welcome/ready at join, assign (domain spec) lazily before a domain's
 // first round on a worker, round/reply correlated by ID, and ping as the
 // worker's heartbeat. A frame that fails its checks is a protocol error
 // that kills the connection — never a panic (FuzzClusterFrameDecode).

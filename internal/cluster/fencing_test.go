@@ -136,3 +136,54 @@ func TestWorkerRejectsStaleWelcome(t *testing.T) {
 		t.Fatalf("stale coordinator still gained members: %v", members)
 	}
 }
+
+// TestJoinNeedsReadyForThisEpoch pins the two-sided join: every member
+// has answered this coordinator's welcome with a ready echoing its epoch.
+// A connection that goes silent after hello, or whose ready names another
+// epoch, never becomes a member.
+func TestJoinNeedsReadyForThisEpoch(t *testing.T) {
+	coord := NewCoordinator(CoordinatorOptions{Log: testLogger(t), Epoch: 3, HeartbeatTimeout: time.Minute})
+	defer coord.Close()
+	for _, c := range []struct {
+		id    string
+		ready bool
+		epoch uint64
+	}{{"silent", false, 0}, {"stale", true, 2}, {"newer", true, 4}} {
+		server, client := net.Pipe()
+		defer client.Close()
+		coord.AddConn(server)
+		if err := writeMessage(client, &Message{Type: MsgHello, Worker: c.id}); err != nil {
+			t.Fatal(err)
+		}
+		welcome, err := readFrame(client)
+		if err != nil || welcome.Type != MsgWelcome || welcome.Epoch != 3 {
+			t.Fatalf("%s: welcome %+v, err %v", c.id, welcome, err)
+		}
+		if c.ready {
+			if err := writeMessage(client, &Message{Type: MsgReady, Worker: c.id, Epoch: c.epoch}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	server, client := net.Pipe()
+	defer client.Close()
+	coord.AddConn(server)
+	go func() {
+		if err := joinByHand(client, "good"); err != nil {
+			return
+		}
+		for {
+			if _, err := readFrame(client); err != nil {
+				return
+			}
+		}
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := coord.WaitMembers(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	if members := coord.Members(); len(members) != 1 || members[0] != "good" {
+		t.Fatalf("members %v, want only the worker that answered ready for epoch 3", members)
+	}
+}

@@ -16,6 +16,10 @@ const (
 	MsgHello = "hello"
 	// MsgWelcome acknowledges a hello (coordinator → worker).
 	MsgWelcome = "welcome"
+	// MsgReady completes the join (worker → coordinator): the worker
+	// accepted the welcome and echoes its epoch. The coordinator admits the
+	// worker as a member only on a ready for its own epoch.
+	MsgReady = "ready"
 	// MsgPing is the worker's periodic heartbeat; any frame refreshes the
 	// coordinator's liveness clock, ping exists for quiet workers.
 	MsgPing = "ping"

@@ -112,6 +112,9 @@ func RunWorker(ctx context.Context, conn net.Conn, opts WorkerOptions) error {
 		return fmt.Errorf("cluster: fencing: coordinator welcome carries stale leader epoch %d (newest known %d)",
 			welcome.Epoch, gate.Current())
 	}
+	if err := send(&Message{Type: MsgReady, Worker: opts.ID, Epoch: welcome.Epoch}); err != nil {
+		return fmt.Errorf("cluster: ready: %w", err)
+	}
 	log.Info().Uint64("epoch", welcome.Epoch).Msg("joined coordinator")
 
 	// Heartbeats and ctx cancellation live on a side goroutine; closing

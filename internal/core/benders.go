@@ -282,7 +282,7 @@ func SolveBenders(inst *Instance, opts BendersOptions) (*Decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := bendersSolve(m, m.buildSlave(), opts.withDefaults(), nil)
+	d, err := bendersSolve(m, m.buildSlave(), lp.New(), opts.withDefaults(), nil)
 	if err != nil {
 		// Numerical distress even without carried state: fall back to the
 		// monolithic oracle. A cold Benders run is a pure function of the
@@ -349,11 +349,34 @@ func addFeasCut(master *lp.Problem, name string, xVar []int, constant float64, c
 	return true
 }
 
+// DebugBendersMaster runs Algorithm 1 on inst for at most iters master
+// iterations and returns the Benders master as it stands afterwards — the
+// placement skeleton plus every cut installed — with its binary variables,
+// and the slave LP with its right-hand sides set for the last evaluated x̄.
+// It exposes realistic master and slave LPs to solver-kernel tests and
+// benchmarks; not part of the stable API. err is Algorithm 1's own error,
+// if any; the returned problems are valid either way.
+func DebugBendersMaster(inst *Instance, iters int) (master *lp.Problem, binaries []int, slave *lp.Problem, err error) {
+	m, err := buildModel(inst)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	s := m.buildSlave()
+	master = lp.New()
+	_, err = bendersSolve(m, s, master, BendersOptions{MaxIterations: iters}.withDefaults(), nil)
+	binaries = make([]int, len(m.items))
+	for idx := range binaries {
+		binaries[idx] = idx // the x variables are the master's first columns
+	}
+	return master, binaries, s.p, err
+}
+
 // bendersSolve is Algorithm 1's master–slave loop over an already-built
-// model and slave. A non-nil session seeds the master with the re-derived
-// still-valid cuts of previous epochs and collects this solve's dual
-// vectors for the next one.
-func bendersSolve(m *model, slave *slaveProblem, opts BendersOptions, sess *BendersSession) (*Decision, error) {
+// model and slave; master must be empty and receives the master problem.
+// A non-nil session seeds the master with the re-derived still-valid cuts
+// of previous epochs and collects this solve's dual vectors for the next
+// one.
+func bendersSolve(m *model, slave *slaveProblem, master *lp.Problem, opts BendersOptions, sess *BendersSession) (*Decision, error) {
 	// θ is a free surrogate for the slave cost, but LP variables are
 	// non-negative; shift by a valid lower bound on the slave objective:
 	// Σ min(yCoef,0)·Λ minus nothing (deficits only add cost).
@@ -365,7 +388,6 @@ func bendersSolve(m *model, slave *slaveProblem, opts BendersOptions, sess *Bend
 	}
 
 	// Master skeleton: min Σ xCoef·x + θ subject to (5), (6), (13).
-	master := lp.New()
 	xVar := make([]int, len(m.items))
 	for idx, it := range m.items {
 		xVar[idx] = master.AddVar(fmt.Sprintf("x.%d", idx), it.xCoef)

@@ -27,6 +27,8 @@ package core
 // topology) the session cold-rebuilds everything, which is always correct —
 // the session never trades safety for speed.
 
+import "repro/internal/lp"
+
 // maxSessionDuals bounds the carried cut pool. Old duals are evicted
 // first-in-first-out: steady-state epochs converge in a couple of rounds, so
 // the pool holds the recent active cuts, and a larger pool only slows the
@@ -90,7 +92,7 @@ func (s *BendersSession) Solve(inst *Instance) (*Decision, error) {
 		s.prevX = s.prevX[:0]
 	}
 	s.model = m
-	d, err := bendersSolve(m, s.slave, s.opts, s)
+	d, err := bendersSolve(m, s.slave, lp.New(), s.opts, s)
 	if err != nil {
 		s.model, s.slave = nil, nil
 		s.duals = s.duals[:0]

@@ -23,7 +23,10 @@
 // is involved, so a replayed solve takes the identical pivot path.
 package lp
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // factorEngine is a factorized basis. refactor rebuilds the factorization
 // from r.bs.cols (false means B is singular); ftran/btran solve against it
@@ -155,16 +158,17 @@ type sparseLU struct {
 	nnzU0    int // off-diagonal U nonzeros at refactorization (growth bound)
 
 	// Scratch reused across refactorizations and solves.
-	work   []float64 // row-space scatter / step-space solve vector
-	step   []float64 // working row values during FT elimination
-	spike  []float64 // FT spike column in step space
-	bwork  []float64 // batched-ftran solve vectors (ftranBatchMax·m)
-	btmp   []float64 // per-vector pivot values inside the batched solves
-	mark   []int32   // scatter stamps (row or step space)
-	stamp  int32
-	nzRows []int32 // nonzero rows of the column under elimination
-	order  []int32 // column elimination order
-	cnt    []int32 // counting-sort scratch
+	work    []float64 // row-space scatter / step-space solve vector
+	step    []float64 // working row values during FT elimination
+	spike   []float64 // FT spike column in step space
+	bwork   []float64 // batched-ftran solve vectors (ftranBatchMax·m)
+	btmp    []float64 // per-vector pivot values inside the batched solves
+	mark    []int32   // scatter stamps (row or step space)
+	stamp   int32
+	nzRows  []int32  // nonzero rows of the column under elimination
+	touched []uint64 // refactor: bit s set ⇔ column reaches step s's pivot row
+	order   []int32  // column elimination order
+	cnt     []int32  // counting-sort scratch
 }
 
 func (f *sparseLU) reset(m int) {
@@ -188,6 +192,7 @@ func (f *sparseLU) reset(m int) {
 	f.btmp = growF64(f.btmp, ftranBatchMax)
 	f.mark = growI32(f.mark, m)
 	f.nzRows = growI32(f.nzRows, m)
+	f.touched = growU64(f.touched, (m+63)>>6)
 	f.order = growI32(f.order, m)
 	f.cnt = growI32(f.cnt, m+2)
 	f.lIdx = f.lIdx[:0]
@@ -272,6 +277,7 @@ func (f *sparseLU) refactor(r *revised) bool {
 					f.mark[row] = f.stamp
 					w[row] = 0
 					nz = append(nz, row)
+					f.touch(row)
 				}
 				w[row] += ws.colVal[t]
 			}
@@ -280,38 +286,43 @@ func (f *sparseLU) refactor(r *revised) bool {
 			f.mark[row] = f.stamp
 			w[row] = r.sigma[row]
 			nz = append(nz, row)
+			f.touch(row)
 		}
 
 		// Left-looking elimination: apply the already-built columns of L in
 		// step order. L entries still carry constraint-row indices here (the
 		// step-space remap happens once the permutation is complete).
 		//
-		// The flat s-scan costs O(m²/2) stamp probes per refactorization
-		// regardless of fill — a deliberate simplicity trade at this
-		// repo's basis sizes (m ≲ a few hundred: tens of microseconds per
-		// refactor, amortized over refactorEvery pivots). If instances
-		// grow another order of magnitude, replace it with a DFS reach-set
-		// over the L pattern (Gilbert–Peierls / CSparse lu) to make each
-		// column cost proportional to its actual fill.
-		for s := 0; s < step; s++ {
-			pr := f.prow[s]
-			if f.mark[pr] != f.stamp {
-				continue
-			}
-			v := w[pr]
-			if v == 0 {
-				continue
-			}
-			f.ucIdx = append(f.ucIdx, int32(s))
-			f.ucVal = append(f.ucVal, v)
-			for t := f.lPtr[s]; t < f.lPtr[s+1]; t++ {
-				row := f.lIdx[t]
-				if f.mark[row] != f.stamp {
-					f.mark[row] = f.stamp
-					w[row] = 0
-					nz = append(nz, row)
+		// Only steps whose pivot row the column touches contribute, and
+		// touched holds exactly those: a row that was pivoted at step s
+		// sets bit s when it is first marked. Marking happens either in the
+		// scatter above or while applying an L column s′ < s (L column s′
+		// holds rows pivoted after s′), so scanning the words in ascending
+		// order and re-reading the current word after every step visits
+		// the same steps in the same order as a scan of every s < step,
+		// while costing O(fill + step/64). Each bit is cleared as it is
+		// visited, leaving the bitset zeroed for the next column.
+		for wi := 0; wi <= (step-1)>>6; wi++ {
+			for f.touched[wi] != 0 {
+				b := bits.TrailingZeros64(f.touched[wi])
+				f.touched[wi] &^= 1 << uint(b)
+				s := wi<<6 | b
+				v := w[f.prow[s]]
+				if v == 0 {
+					continue
 				}
-				w[row] -= f.lVal[t] * v
+				f.ucIdx = append(f.ucIdx, int32(s))
+				f.ucVal = append(f.ucVal, v)
+				for t := f.lPtr[s]; t < f.lPtr[s+1]; t++ {
+					row := f.lIdx[t]
+					if f.mark[row] != f.stamp {
+						f.mark[row] = f.stamp
+						w[row] = 0
+						nz = append(nz, row)
+						f.touch(row)
+					}
+					w[row] -= f.lVal[t] * v
+				}
 			}
 		}
 
@@ -392,6 +403,14 @@ func (f *sparseLU) refactor(r *revised) bool {
 	}
 	f.clearEtas()
 	return true
+}
+
+// touch records in the refactorization bitset that a column under
+// elimination has reached row, when row is already pivoted.
+func (f *sparseLU) touch(row int32) {
+	if s := f.pinv[row]; s >= 0 {
+		f.touched[s>>6] |= 1 << uint(s&63)
+	}
 }
 
 // ftran computes posOut = B⁻¹·rowIn: permute, solve L, replay the FT row

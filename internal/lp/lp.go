@@ -247,107 +247,72 @@ func (p *Problem) Solve() (*Solution, error) { return p.solveCold(nil) }
 
 // solveCold is the two-phase tableau path. When cap is non-nil, the final
 // basis is captured into it so a later SolveFrom can warm-start; outcomes
-// without a usable basis (iteration limit, unboundedness) reset it.
-// Bounded problems are dispatched to the bound-row expansion below — the
-// tableau itself only understands x ≥ 0.
+// without a usable basis (infeasibility, iteration limit, unboundedness)
+// reset it. The tableau itself only understands x ≥ 0, so bounded problems
+// are solved through their bound-row expansion (see boundExpansion) and the
+// result is mapped back.
+//
+// The tableau is allocated per solve and dropped on return: a Basis keeps
+// only its basic column set, never the dense working state of the solve
+// that produced it.
 func (p *Problem) solveCold(cap *Basis) (*Solution, error) {
+	q, lbRow, ubRow := p, []int(nil), []int(nil)
 	if p.bounded() {
-		return p.solveColdBounded(cap)
+		q, lbRow, ubRow = p.boundExpansion()
 	}
-	// When a Basis is being (re)captured, its workspace donates the
-	// tableau's dense buffers, so warm-path fallbacks and re-captures do
-	// not re-pay the tableau allocation on every cold solve.
-	var ws *workspace
-	if cap != nil {
-		if cap.ws == nil {
-			cap.ws = &workspace{}
+	t := newTableau(q)
+	sol, err := t.solve()
+	m := len(p.rows)
+	switch sol.Status {
+	case Optimal:
+		sol.Dual = sol.Dual[:m]
+		if cap != nil && p.bounded() {
+			cap.captureBounded(p, t, lbRow, ubRow)
+		} else if cap != nil {
+			cap.capture(t)
 		}
-		ws = cap.ws
-	}
-	t := newTableau(p, ws)
-	sol := &Solution{}
-
-	// Phase 1: drive the artificial variables to zero.
-	status := t.iterate(true)
-	sol.Pivots += t.pivots
-	if status == IterLimit {
-		sol.Status = IterLimit
-		if cap != nil {
-			cap.Reset()
-		}
-		return sol, ErrIterLimit
-	}
-	if t.phase1Obj() > feasTol {
-		sol.Status = Infeasible
-		t.recomputeObjRow() // exact reduced costs for the certificate
-		sol.Ray = t.farkasRay()
-		// A phase-1-terminal basis is almost never dual feasible for the
-		// real costs, so capturing it would make every later warm attempt
-		// factorize B⁻¹ only to bail to cold. Drop it; warm chains start
+	case Infeasible:
+		sol.Ray = sol.Ray[:m]
+		fallthrough
+	default:
+		// No outcome but Optimal leaves a basis worth re-entering from. In
+		// particular a phase-1-terminal basis is almost never dual feasible
+		// for the real costs, so capturing it would make every later warm
+		// attempt factorize B⁻¹ only to bail to cold. Warm chains start
 		// from optimal (or warm-infeasible) bases only.
 		if cap != nil {
 			cap.Reset()
 		}
-		return sol, nil
 	}
-	t.pivotOutArtificials()
-
-	// Phase 2: optimize the true objective from the feasible basis.
-	t.loadPhase2Costs()
-	status = t.iterate(false)
-	sol.Pivots += t.pivots
-	switch status {
-	case IterLimit:
-		sol.Status = IterLimit
-		if cap != nil {
-			cap.Reset()
-		}
-		return sol, ErrIterLimit
-	case Unbounded:
-		sol.Status = Unbounded
-		if cap != nil {
-			cap.Reset()
-		}
-		return sol, nil
-	}
-
-	sol.Status = Optimal
-	sol.X = t.primal()
-	sol.Obj = t.objective()
-	t.recomputeObjRow() // exact reduced costs for the duals
-	sol.Dual = t.duals()
-	if cap != nil {
-		cap.capture(t)
-	}
-	return sol, nil
+	return sol, err
 }
 
-// solveColdBounded is the cold path for problems with variable bounds: the
-// bounds are expanded into explicit rows (x_j ≥ lo for lo > 0, x_j ≤ up for
-// finite up), the two-phase tableau solves the expansion, and the result is
-// mapped back. Dual and Ray are truncated to the original rows: bound-row
-// duals live on as nonbasic reduced costs in the bounded-variable warm path
-// (strong duality then reads Obj = Σ Dual·rhs + Σ_{nonbasic j} d_j·x_j),
-// and an infeasibility Ray is a box-Farkas certificate — Σ Ray·rhs exceeds
-// the slack the variable boxes can absorb (see revised.verifyRay).
+// boundExpansion returns the x ≥ 0 problem the tableau solves for a
+// bounded p: the bounds become explicit rows (x_j ≥ lo for lo > 0, x_j ≤ up
+// for finite up) appended after p's rows, and lbRow/ubRow record each
+// variable's bound rows (−1 where it has none). Structural columns, costs
+// and the original rows are shared read-only with p; only the bound rows
+// are fresh. Dual and Ray are truncated to the original rows afterwards:
+// bound-row duals live on as nonbasic reduced costs in the bounded-variable
+// warm path (strong duality then reads Obj = Σ Dual·rhs + Σ_{nonbasic j}
+// d_j·x_j), and an infeasibility Ray is a box-Farkas certificate — Σ
+// Ray·rhs exceeds the slack the variable boxes can absorb (see
+// revised.verifyRay).
 //
-// When cap is non-nil the expanded basis is folded into a bounded-variable
-// basis over the original rows: a structural variable is basic iff it is
-// basic in the expansion with none of its bound rows tight, and every
-// nonbasic structural records which bound it sits at. The fold can land on
-// a singular column set in degenerate corners; the next warm attempt then
-// detects that and falls back cold, so it costs performance, never
-// correctness.
-func (p *Problem) solveColdBounded(cap *Basis) (*Solution, error) {
+// When a Basis captures the solve, the expanded basis is folded into a
+// bounded-variable basis over the original rows: a structural variable is
+// basic iff it is basic in the expansion with none of its bound rows tight,
+// and every nonbasic structural records which bound it sits at. The fold
+// can land on a singular column set in degenerate corners; the next warm
+// attempt then detects that and falls back cold, so it costs performance,
+// never correctness.
+func (p *Problem) boundExpansion() (q *Problem, lbRow, ubRow []int) {
 	m, n := len(p.rows), len(p.cost)
-
-	// Build the expansion. Structural columns, costs and the original rows
-	// are shared read-only with p; only the bound rows are fresh.
-	q := &Problem{cost: p.cost, names: p.names}
+	q = &Problem{cost: p.cost, names: p.names}
 	q.rows = make([]row, m, m+2*n)
 	copy(q.rows, p.rows)
-	lbRow := make([]int, n)
-	ubRow := make([]int, n)
+	lbRow = make([]int, n)
+	ubRow = make([]int, n)
 	for j := range lbRow {
 		lbRow[j], ubRow[j] = -1, -1
 	}
@@ -363,63 +328,47 @@ func (p *Problem) solveColdBounded(cap *Basis) (*Solution, error) {
 			q.rows = append(q.rows, row{terms: []Term{{Var: j, Coef: 1}}, sense: LE, rhs: p.up[j]})
 		}
 	}
+	return q, lbRow, ubRow
+}
 
-	var ws *workspace
-	if cap != nil {
-		if cap.ws == nil {
-			cap.ws = &workspace{}
-		}
-		ws = cap.ws
-	}
-	t := newTableau(q, ws)
+// solve runs both simplex phases on a fresh tableau. Dual and Ray cover
+// every tableau row; the caller truncates them to the problem's own rows.
+func (t *tableau) solve() (*Solution, error) {
 	sol := &Solution{}
 
+	// Phase 1: drive the artificial variables to zero.
 	status := t.iterate(true)
 	sol.Pivots += t.pivots
 	if status == IterLimit {
 		sol.Status = IterLimit
-		if cap != nil {
-			cap.Reset()
-		}
 		return sol, ErrIterLimit
 	}
 	if t.phase1Obj() > feasTol {
 		sol.Status = Infeasible
-		t.recomputeObjRow()
-		sol.Ray = t.farkasRay()[:m]
-		if cap != nil {
-			cap.Reset()
-		}
+		t.recomputeObjRow() // exact reduced costs for the certificate
+		sol.Ray = t.farkasRay()
 		return sol, nil
 	}
 	t.pivotOutArtificials()
 
+	// Phase 2: optimize the true objective from the feasible basis.
 	t.loadPhase2Costs()
 	status = t.iterate(false)
 	sol.Pivots += t.pivots
 	switch status {
 	case IterLimit:
 		sol.Status = IterLimit
-		if cap != nil {
-			cap.Reset()
-		}
 		return sol, ErrIterLimit
 	case Unbounded:
 		sol.Status = Unbounded
-		if cap != nil {
-			cap.Reset()
-		}
 		return sol, nil
 	}
 
 	sol.Status = Optimal
 	sol.X = t.primal()
 	sol.Obj = t.objective()
-	t.recomputeObjRow()
-	sol.Dual = t.duals()[:m]
-	if cap != nil {
-		cap.captureBounded(p, t, lbRow, ubRow)
-	}
+	t.recomputeObjRow() // exact reduced costs for the duals
+	sol.Dual = t.duals()
 	return sol, nil
 }
 
@@ -434,9 +383,8 @@ func (p *Problem) solveColdBounded(cap *Basis) (*Solution, error) {
 // narrow; phase 1 only has work to do on rows that actually start virtual.
 //
 // The matrix is one contiguous row-major slice with stride width+1 (the
-// last column is the rhs): flat storage keeps the O(m·width) pivot loops on
-// sequential memory, and lets a Basis workspace donate the buffers so cold
-// fallbacks inside a warm-start chain do not reallocate the tableau.
+// last column is the rhs): flat storage keeps the pivot loops on sequential
+// memory. Every buffer belongs to one solve and is dropped with it.
 type tableau struct {
 	p *Problem
 
@@ -456,6 +404,11 @@ type tableau struct {
 
 	cb []float64 // recomputeObjRow scratch
 
+	// Pivot-row scratch: the nonzero columns of the scaled pivot row and
+	// their values, gathered once per pivot.
+	nzCol []int
+	nzVal []float64
+
 	pivots   int
 	inPhase1 bool
 }
@@ -463,33 +416,21 @@ type tableau struct {
 // row returns row i of the matrix including its rhs entry.
 func (t *tableau) row(i int) []float64 { return t.a[i*t.w1 : (i+1)*t.w1 : (i+1)*t.w1] }
 
-func newTableau(p *Problem, ws *workspace) *tableau {
+func newTableau(p *Problem) *tableau {
 	m := len(p.rows)
 	n := len(p.cost)
 
 	t := &tableau{p: p, m: m, n: n, width: n + m, w1: n + m + 1}
-	if ws != nil {
-		ws.tabSign = growF64(ws.tabSign, m)
-		ws.tabEq = growBool(ws.tabEq, m)
-		ws.tabFlip = growF64(ws.tabFlip, m)
-		ws.tabBasis = growInt(ws.tabBasis, m)
-		ws.tabCost = growF64(ws.tabCost, t.width)
-		ws.tabA = growF64(ws.tabA, m*t.w1)
-		ws.tabObj = growF64(ws.tabObj, t.w1)
-		ws.tabCB = growF64(ws.tabCB, m)
-		t.markerSign, t.eqMarker, t.flip = ws.tabSign, ws.tabEq, ws.tabFlip
-		t.basis, t.cost = ws.tabBasis, ws.tabCost
-		t.a, t.obj, t.cb = ws.tabA, ws.tabObj, ws.tabCB
-	} else {
-		t.markerSign = make([]float64, m)
-		t.eqMarker = make([]bool, m)
-		t.flip = make([]float64, m)
-		t.basis = make([]int, m)
-		t.cost = make([]float64, t.width)
-		t.a = make([]float64, m*t.w1)
-		t.obj = make([]float64, t.w1)
-		t.cb = make([]float64, m)
-	}
+	t.markerSign = make([]float64, m)
+	t.eqMarker = make([]bool, m)
+	t.flip = make([]float64, m)
+	t.basis = make([]int, m)
+	t.cost = make([]float64, t.width)
+	t.a = make([]float64, m*t.w1)
+	t.obj = make([]float64, t.w1)
+	t.cb = make([]float64, m)
+	t.nzCol = make([]int, 0, t.w1)
+	t.nzVal = make([]float64, 0, t.w1)
 
 	for i := range p.rows {
 		r := &p.rows[i]
@@ -633,13 +574,24 @@ func (t *tableau) chooseLeaving(enter int) int {
 	return leave
 }
 
-// pivot makes column enter basic in row leave.
+// pivot makes column enter basic in row leave. Pivot rows are sparse (on
+// the metro Benders masters about 2% of the columns are nonzero), so the
+// scaled row's nonzeros are gathered once and every other row, and the
+// reduced-cost row, is updated at those columns only. A skipped column
+// would compute x −= f·0, which leaves x unchanged except possibly for the
+// sign of a zero, so every value matches a full-width sweep under ==.
 func (t *tableau) pivot(leave, enter int) {
 	t.pivots++
 	rowL := t.row(leave)
 	inv := 1 / rowL[enter]
+	nzCol, nzVal := t.nzCol[:0], t.nzVal[:0]
 	for j := 0; j <= t.width; j++ {
-		rowL[j] *= inv
+		v := rowL[j] * inv
+		rowL[j] = v
+		if v != 0 {
+			nzCol = append(nzCol, j)
+			nzVal = append(nzVal, v)
+		}
 	}
 	for i := 0; i < t.m; i++ {
 		if i == leave {
@@ -650,15 +602,15 @@ func (t *tableau) pivot(leave, enter int) {
 		if f == 0 {
 			continue
 		}
-		for j := 0; j <= t.width; j++ {
-			ri[j] -= f * rowL[j]
+		for k, j := range nzCol {
+			ri[j] -= f * nzVal[k]
 		}
 		ri[enter] = 0 // kill roundoff residue exactly
 	}
 	f := t.obj[enter]
 	if f != 0 {
-		for j := 0; j <= t.width; j++ {
-			t.obj[j] -= f * rowL[j]
+		for k, j := range nzCol {
+			t.obj[j] -= f * nzVal[k]
 		}
 		t.obj[enter] = 0
 	}

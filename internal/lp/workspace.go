@@ -58,6 +58,18 @@ func growU8(buf []uint8, n int) []uint8 {
 	return buf
 }
 
+// growU64 is growF64 for bitset words.
+func growU64(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
+	}
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = 0
+	}
+	return buf
+}
+
 // growBool is growF64 for bool slices.
 func growBool(buf []bool, n int) []bool {
 	if cap(buf) < n {
@@ -129,18 +141,6 @@ type workspace struct {
 	r     revised
 	lu    sparseLU
 	dense denseFactor
-
-	// Cold-path tableau reuse: when SolveFrom falls back to the two-phase
-	// tableau, its dense state is carved out of these buffers instead of
-	// being reallocated per solve.
-	tabA     []float64
-	tabObj   []float64
-	tabCost  []float64
-	tabBasis []int
-	tabSign  []float64
-	tabEq    []bool
-	tabFlip  []float64
-	tabCB    []float64
 }
 
 // prepare (re)binds the workspace to problem p and basis bs, rebuilding the
