@@ -128,12 +128,15 @@ hunt-smoke:
 # recover-check is the crash-recovery gate: the kill-and-replay suite in
 # internal/wal hard-kills the control plane at randomized epoch boundaries
 # and requires the recovered decision trace, yield ledger and tracker
-# state to equal an uninterrupted run bit for bit. -count=1 defeats the
+# state to equal an uninterrupted run bit for bit. TestKillAndReplay also
+# selects the crash where a topology or handover record fsyncs behind an
+# uncommitted step prefix; TestCrashPrefixesRecover cuts a two-domain log
+# at every LSN and recovers each cut twice. -count=1 defeats the
 # test cache — a recovery gate that silently replays a cached PASS guards
 # nothing — and the explicit -timeout keeps a wedged replay from eating
 # the job's whole budget.
 recover-check:
-	$(GO) test ./internal/wal/ -run 'TestKillAndReplay|TestCleanShutdown|TestRecoverTruncates' -count=1 -timeout 10m
+	$(GO) test ./internal/wal/ -run 'TestKillAndReplay|TestCleanShutdown|TestRecoverTruncates|TestCrashPrefixesRecover' -count=1 -timeout 10m
 
 # cluster-check is the distributed-determinism gate: loadgen and the
 # ovnes REST stack run once in-process and once against real ovnes-worker

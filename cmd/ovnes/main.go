@@ -46,11 +46,11 @@
 // it tails the leader's WAL, continuously replaying every committed
 // decision through the same code paths crash recovery uses, while waiting
 // for the leader's lease to lapse. When it does, the standby takes the
-// lease, finishes replay (truncating the dead leader's uncommitted
-// residue), and starts serving — with a decision state bit-identical to
-// the leader's, under the next fencing epoch. Point workers at both
-// addresses (ovnes-worker -connect addrA,addrB) and failover needs no
-// reconfiguration.
+// lease, finishes replay (appending an abort record for the dead
+// leader's uncommitted residue), and starts serving — with a decision
+// state bit-identical to the leader's, under the next fencing epoch.
+// Point workers at both addresses (ovnes-worker -connect addrA,addrB)
+// and failover needs no reconfiguration.
 //
 // SIGINT/SIGTERM shut the stack down gracefully: listeners stop accepting,
 // in-flight HTTP requests finish, the admission engine drains its queue,
@@ -62,7 +62,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"net"
 	"net/http"
 	"os"
@@ -90,9 +89,6 @@ const (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("ovnes: ")
-
 	var (
 		listen     = flag.String("listen", "127.0.0.1:8080", "orchestrator address; controllers bind the next three ports")
 		collector  = flag.String("collector", "127.0.0.1:6343", "UDP monitoring collector address")
@@ -113,15 +109,24 @@ func main() {
 	)
 	flag.Parse()
 
-	lvl, err := obslog.ParseLevel(*logLevel)
-	if err != nil {
-		log.Fatal(err)
+	lvl, lvlErr := obslog.ParseLevel(*logLevel)
+	if lvlErr != nil {
+		lvl = obslog.InfoLevel
 	}
 	olog := obslog.New(os.Stderr, lvl).Str("service", "ovnes")
+	// die logs a fatal error and exits non-zero without running deferred
+	// cleanups.
+	die := func(err error) {
+		olog.Error().Err(err).Msg("fatal")
+		os.Exit(1)
+	}
+	if lvlErr != nil {
+		die(lvlErr)
+	}
 
 	if *standby {
 		if *dataDir == "" || *leasePath == "" {
-			log.Fatal("-standby needs -data-dir (the leader's WAL directory) and -lease (the leader's lease file)")
+			die(errors.New("-standby needs -data-dir (the leader's WAL directory) and -lease (the leader's lease file)"))
 		}
 	}
 
@@ -130,7 +135,7 @@ func main() {
 
 	net_, err := buildTopo(*topoName, *nbs)
 	if err != nil {
-		log.Fatal(err)
+		die(err)
 	}
 
 	holder := leaseHolder()
@@ -141,18 +146,18 @@ func main() {
 
 	col, err := monitor.NewCollector(*collector, store)
 	if err != nil {
-		log.Fatal(err)
+		die(err)
 	}
 	defer col.Close()
-	log.Printf("monitoring collector on udp://%s", col.Addr())
+	olog.Info().Str("addr", "udp://"+col.Addr()).Msg("monitoring collector listening")
 
 	host, portStr, err := net.SplitHostPort(*listen)
 	if err != nil {
-		log.Fatal(err)
+		die(err)
 	}
 	port, err := strconv.Atoi(portStr)
 	if err != nil {
-		log.Fatal(err)
+		die(err)
 	}
 	addrOf := func(off int) string { return net.JoinHostPort(host, strconv.Itoa(port+off)) }
 
@@ -164,7 +169,7 @@ func main() {
 		srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout}
 		servers = append(servers, srv)
 		go func() {
-			log.Printf("%s on http://%s", name, addr)
+			olog.Info().Str("addr", "http://"+addr).Msg(name + " listening")
 			if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				errc <- fmt.Errorf("%s: %w", name, err)
 			}
@@ -203,7 +208,7 @@ func main() {
 			coord.Close()
 			return nil, err
 		}
-		log.Printf("cluster coordinator on tcp://%s (ovnes-worker -connect %s)", addr, addr)
+		olog.Info().Str("addr", "tcp://"+addr).Msg("cluster coordinator listening (ovnes-worker -connect addr)")
 		return coord, nil
 	}
 
@@ -215,7 +220,7 @@ func main() {
 	if *standby {
 		sb, err := ctrlplane.NewStandby(orchCfg)
 		if err != nil {
-			log.Fatal(err)
+			die(err)
 		}
 		go func() {
 			// Tail until promoted (returns nil) or the replica diverged
@@ -229,10 +234,10 @@ func main() {
 		if err != nil {
 			sb.Close()
 			if ctx.Err() != nil {
-				log.Print("signal received while standing by, bye")
+				olog.Info().Msg("signal received while standing by, bye")
 				return
 			}
-			log.Fatal(err)
+			die(err)
 		}
 		lsn, rounds := sb.Progress()
 		olog.Info().Str("holder", holder).Uint64("lease-epoch", lease.Epoch()).
@@ -241,23 +246,23 @@ func main() {
 		var exec admission.Executor
 		if *clListen != "" {
 			if coord, err = newCoord(lease.Epoch()); err != nil {
-				log.Fatal(err)
+				die(err)
 			}
 			exec = coord
 		}
 		if orch, err = sb.Promote(exec, lease.Check); err != nil {
-			log.Fatal(err)
+			die(err)
 		}
 	} else {
 		if *leasePath != "" {
-			log.Printf("acquiring leader lease %s (holder %s)", *leasePath, holder)
+			olog.Info().Str("lease", *leasePath).Str("holder", holder).Msg("acquiring leader lease")
 			lease, err = cluster.WaitAcquire(ctx, leaseCfg, 0)
 			if err != nil {
 				if ctx.Err() != nil {
-					log.Print("signal received while waiting for the lease, bye")
+					olog.Info().Msg("signal received while waiting for the lease, bye")
 					return
 				}
-				log.Fatal(err)
+				die(err)
 			}
 			olog.Info().Str("holder", holder).Uint64("lease-epoch", lease.Epoch()).Msg("took leadership")
 			orchCfg.WALFence = lease.Check
@@ -268,20 +273,21 @@ func main() {
 		}
 		if *clListen != "" {
 			if coord, err = newCoord(epoch); err != nil {
-				log.Fatal(err)
+				die(err)
 			}
 			orchCfg.Executor = coord
 		}
 		if orch, err = ctrlplane.NewOrchestrator(orchCfg); err != nil {
-			log.Fatal(err)
+			die(err)
 		}
 	}
 	if coord != nil {
 		defer coord.Close()
 	}
 	if rep := orch.Recovery(); rep != nil {
-		log.Printf("durable state in %s: snapshot at LSN %d, %d records replayed (%d rounds), %d uncommitted tail records dropped",
-			*dataDir, rep.SnapshotLSN, rep.Applied, rep.Rounds, rep.HeldBack)
+		olog.Info().Str("data-dir", *dataDir).Uint64("snapshot-lsn", rep.SnapshotLSN).
+			Int("replayed-records", rep.Applied).Int("replayed-rounds", rep.Rounds).
+			Int("aborted-prefix-records", rep.HeldBack).Msg("recovered durable state")
 	}
 	if lease != nil {
 		renew := *leaseRenew
@@ -308,7 +314,7 @@ func main() {
 	}
 	serve(*listen, fmt.Sprintf("E2E orchestrator (%s, %s)", net_.Name, *algo), orch.Handler())
 	if *epochEvery > 0 {
-		log.Printf("closed loop: one epoch every %v", *epochEvery)
+		olog.Info().Dur("every", *epochEvery).Msg("closed loop running")
 		go func() {
 			if err := orch.RunLoop(ctx, *epochEvery); err != nil {
 				errc <- fmt.Errorf("closed loop: %w", err)
@@ -319,12 +325,12 @@ func main() {
 	fatal := false
 	select {
 	case <-ctx.Done():
-		log.Print("signal received, shutting down")
+		olog.Info().Msg("signal received, shutting down")
 	case err := <-errc:
 		// A dead listener is a failure even though we still drain: the
 		// exit status must tell the supervisor to restart us.
 		fatal = true
-		log.Print(err)
+		olog.Error().Err(err).Msg("service failed")
 	}
 
 	// Drain order matters: stop accepting HTTP first (in-flight admissions
@@ -333,22 +339,23 @@ func main() {
 	defer cancel()
 	for _, srv := range servers {
 		if err := srv.Shutdown(shCtx); err != nil {
-			log.Printf("shutdown: %v", err)
+			olog.Error().Err(err).Msg("http shutdown")
 		}
 	}
 	if err := orch.Close(); err != nil {
-		log.Printf("admission engine drain: %v", err)
+		olog.Error().Err(err).Msg("admission engine drain")
 	}
 	if lease != nil {
 		if err := lease.Release(); err != nil {
-			log.Printf("lease release: %v", err)
+			olog.Error().Err(err).Msg("lease release")
 		}
 	}
 	if fatal {
 		col.Close()
-		log.Fatal("exiting after failure")
+		olog.Error().Msg("exiting after failure")
+		os.Exit(1)
 	}
-	log.Print("bye")
+	olog.Info().Msg("bye")
 }
 
 // leaseHolder identifies this process in the lease file.

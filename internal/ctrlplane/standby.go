@@ -100,7 +100,7 @@ func (l *swapLog) AppendObserve(domain string, epoch int, alive []string, peaks 
 // recovery uses — so its state is bit-identical to what a fresh recovery
 // of that log would build, at every instant. When the leader dies,
 // Promote turns the replica into a serving Orchestrator without replaying
-// the log from scratch: it drains the tail, truncates the dead leader's
+// the log from scratch: it drains the tail, aborts the dead leader's
 // uncommitted residue, completes a trailing half-step, and starts the
 // engine.
 //
@@ -132,25 +132,34 @@ func NewStandby(cfg OrchestratorConfig) (*Standby, error) {
 	if err != nil {
 		return nil, err
 	}
-	lg := &swapLog{} // no store while tailing: replay-path appends drop
-	o, err := buildCore(cfg, lg)
-	if err != nil {
+	s := &Standby{cfg: cfg, lg: &swapLog{}} // no store while tailing: replay-path appends drop
+	if err := s.bootstrap(); err != nil {
 		return nil, err
 	}
-	tail, err := wal.OpenTailer(cfg.DataDir)
+	return s, nil
+}
+
+// bootstrap builds a fresh replica and a tail over the leader's directory,
+// restored from the newest snapshot there and resuming the tail at its LSN.
+func (s *Standby) bootstrap() error {
+	o, err := buildCore(s.cfg, s.lg)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	tail, err := wal.OpenTailer(s.cfg.DataDir)
+	if err != nil {
+		return err
 	}
 	replayer, err := wal.NewReplayer(wal.Target{Engine: o.eng, Controller: o.loop, Ledger: o.ledger})
+	if err == nil {
+		err = replayer.Bootstrap(tail.Snapshot())
+	}
 	if err != nil {
 		tail.Close()
-		return nil, err
+		return err
 	}
-	if err := replayer.Bootstrap(tail.Snapshot()); err != nil {
-		tail.Close()
-		return nil, err
-	}
-	return &Standby{cfg: cfg, o: o, lg: lg, tail: tail, replayer: replayer}, nil
+	s.o, s.tail, s.replayer = o, tail, replayer
+	return nil
 }
 
 // Poll ingests every record that has become visible since the last call
@@ -200,27 +209,12 @@ func (s *Standby) pollLocked() (int, error) {
 
 // rebuildLocked discards the replica's engine/controller/ledger state and
 // re-bootstraps a fresh one from the newest snapshot in the leader's
-// directory, resuming the tail at its LSN.
+// directory.
 func (s *Standby) rebuildLocked() error {
 	s.tail.Close()
-	o, err := buildCore(s.cfg, s.lg)
-	if err != nil {
+	if err := s.bootstrap(); err != nil {
 		return err
 	}
-	tail, err := wal.OpenTailer(s.cfg.DataDir)
-	if err != nil {
-		return err
-	}
-	replayer, err := wal.NewReplayer(wal.Target{Engine: o.eng, Controller: o.loop, Ledger: o.ledger})
-	if err != nil {
-		tail.Close()
-		return err
-	}
-	if err := replayer.Bootstrap(tail.Snapshot()); err != nil {
-		tail.Close()
-		return err
-	}
-	s.o, s.tail, s.replayer = o, tail, replayer
 	s.rebuilds++
 	return nil
 }
@@ -275,7 +269,7 @@ func (s *Standby) Progress() (lsn uint64, rounds int) {
 // The sequence mirrors crash recovery exactly, minus the bulk replay the
 // standby already did: drain the last visible records, open the directory
 // for writing (repairing any torn tail), feed the replayer whatever the
-// tail had not seen, truncate the dead leader's uncommitted step prefix,
+// tail had not seen, abort the dead leader's uncommitted step prefix,
 // complete a trailing round-without-advance (re-logged), rebuild the REST
 // registry, install the executor, start the engine. The returned
 // Orchestrator is bit-identical to one that had served the whole log
@@ -302,18 +296,11 @@ func (s *Standby) Promote(exec admission.Executor, fence func() error) (*Orchest
 		return nil, e
 	}
 	// Ingest whatever Open sees that the tail had not delivered (normally
-	// nothing; Ingest skips below the replayer's high-water mark). Under
-	// BeginRecovery so replay-path appends stay suppressed even though the
-	// log is now installed.
+	// nothing; Ingest skips below the replayer's high-water mark).
 	s.lg.set(wstore)
-	wstore.BeginRecovery()
-	for _, pr := range recovered.Records {
-		if err := s.replayer.Ingest(pr); err != nil {
-			wstore.EndRecovery()
-			return fail(fmt.Errorf("ctrlplane: promote: %w", err))
-		}
+	if err := s.replayer.IngestAll(wstore, recovered.Records); err != nil {
+		return fail(fmt.Errorf("ctrlplane: promote: %w", err))
 	}
-	wstore.EndRecovery()
 	rep, err := s.replayer.Finalize(wstore)
 	if err != nil {
 		return fail(fmt.Errorf("ctrlplane: promote: %w", err))

@@ -52,10 +52,20 @@
 //
 // On open, a torn frame in the final segment — the expected residue of a
 // crash mid-write — is truncated away; a torn frame in a sealed segment is
-// corruption and fails the open. Replay then applies the suffix with a
-// hold-back rule: a trailing settle/observe/forecasts run whose round
-// never made it durable was never acked to anyone, so it is physically
-// truncated and the interrupted step simply re-runs live. A trailing round
-// without its advance is completed deterministically (and re-logged) by
-// recovery, since the round's outcomes were already acked.
+// corruption and fails the open, as does a log whose oldest segment
+// starts above the newest readable snapshot. That repair is the only time
+// a log file shrinks.
+//
+// # One replay path and the hold-back rule
+//
+// Crash recovery (Recover) and standby promotion run the same Replayer:
+// recovery feeds it the whole log at once, a standby feeds it a Tailer.
+// A step's settle/observe/forecasts prefix pends until its round arrives;
+// topology and handover records, fsynced at append time, apply at once,
+// even when one lands inside a pending prefix. A prefix whose round never
+// made it durable was never acked to anyone: Finalize appends an abort
+// record for its domain, every later replay drops the prefix there, and
+// the interrupted step simply re-runs live. A trailing round without its
+// advance is completed deterministically (and re-logged), since the
+// round's outcomes were already acked.
 package wal

@@ -99,6 +99,22 @@ func bEpoch(t testing.TB, p *proc, epoch int, offers []offer, submitted map[stri
 	return bld.String()
 }
 
+// domainBOffers is domain b's own tenants: the same template population as
+// the controller's domain, under distinct names.
+func domainBOffers(cfg sim.Config) []offer {
+	var out []offer
+	for i := 0; i < 2; i++ {
+		sp := cfg.Slices[i]
+		sp.Name = fmt.Sprintf("b-%s", sp.Name)
+		out = append(out, offer{
+			spec: sp,
+			sla: slice.SLA{Template: sp.Template, MeanMbps: sp.MeanMbps, Duration: sp.Duration}.
+				WithPenaltyFactor(sp.PenaltyFactor),
+		})
+	}
+	return out
+}
+
 // TestKillAndReplayHandover extends the kill-and-replay gate across a
 // domain boundary: a committed slice hands over from the controller-driven
 // domain to an engine-only peer mid-run, the control plane is hard-killed
@@ -115,17 +131,7 @@ func TestKillAndReplayHandover(t *testing.T) {
 	spec = recCISize(spec)
 	cfg := recCompile(t, spec, 42)
 
-	// Domain b's own tenants: same template population, distinct names.
-	var bOffers []offer
-	for i := 0; i < 2; i++ {
-		sp := cfg.Slices[i]
-		sp.Name = fmt.Sprintf("b-%s", sp.Name)
-		bOffers = append(bOffers, offer{
-			spec: sp,
-			sla: slice.SLA{Template: sp.Template, MeanMbps: sp.MeanMbps, Duration: sp.Duration}.
-				WithPenaltyFactor(sp.PenaltyFactor),
-		})
-	}
+	bOffers := domainBOffers(cfg)
 
 	const handoverEpoch = 5
 	run := func(t testing.TB, dir string, kills map[int]bool) ([]string, finalState, []admission.CommittedSlice, int) {

@@ -28,6 +28,10 @@ const (
 	// unlike forecasts/advance — they are never held back by recovery.
 	KindTopology = "topology"
 	KindHandover = "handover"
+	// KindAbort gives up Domain's pending step prefix: recovery appends
+	// one when the prefix's round never became durable, so every later
+	// replay drops the prefix without the log being rewritten.
+	KindAbort = "abort"
 )
 
 // Record is one logged step input. Kind selects which fields are

@@ -461,8 +461,10 @@ func TestCleanShutdownResumesReplayFree(t *testing.T) {
 // TestRecoverTruncatesUncommittedStepPrefix pins the hold-back rule: a
 // step's settle/observe/forecast records that reached disk without their
 // round — possible when a crash lands between a buffer flush and the round
-// fsync — are dropped physically, and recovery lands on the last committed
-// round as if the interrupted step had never started.
+// fsync — are given up by one appended abort record, and recovery lands on
+// the last committed round as if the interrupted step had never started.
+// The prefix stays on disk; a second reopen must drop it again without
+// aborting anything new.
 func TestRecoverTruncatesUncommittedStepPrefix(t *testing.T) {
 	spec, err := scenario.ByName("diurnal-drift")
 	if err != nil {
@@ -498,12 +500,23 @@ func TestRecoverTruncatesUncommittedStepPrefix(t *testing.T) {
 	if p2.rec.HeldBack != 2 {
 		t.Fatalf("recovery held back %d records, want the 2 uncommitted ones (report %+v)", p2.rec.HeldBack, p2.rec)
 	}
-	if got := p2.wal.LSN(); got != lsnBefore-2 {
-		t.Fatalf("uncommitted tail not truncated: LSN %d, want %d", got, lsnBefore-2)
+	if got := p2.wal.LSN(); got != lsnBefore+1 {
+		t.Fatalf("no abort record behind the uncommitted prefix: LSN %d, want %d", got, lsnBefore+1)
 	}
 	got := capture(t, p2)
 	// The ghost entries must not have leaked into the ledger or trackers.
 	assertIdentical(t, "uncommitted prefix", mid, got, nil, nil)
+
+	// Reopen once more: the abort record already gives the prefix up.
+	p2.kill()
+	p2 = startProc(t, cfg, spec.Algorithm, dir, 0)
+	if p2.rec.HeldBack != 0 {
+		t.Fatalf("second recovery held back %d records, want 0 (report %+v)", p2.rec.HeldBack, p2.rec)
+	}
+	if got := p2.wal.LSN(); got != lsnBefore+1 {
+		t.Fatalf("second recovery moved the log end to LSN %d, want %d", got, lsnBefore+1)
+	}
+	assertIdentical(t, "uncommitted prefix, second reopen", mid, capture(t, p2), nil, nil)
 
 	// And the interrupted step re-runs live, continuing the run exactly.
 	w.reconnect(p2)
@@ -520,5 +533,5 @@ func TestRecoverTruncatesUncommittedStepPrefix(t *testing.T) {
 	}
 	final := capture(t, p2)
 	p2.stop()
-	assertIdentical(t, "post-truncation resume", refFinal, final, refLines, lines)
+	assertIdentical(t, "post-abort resume", refFinal, final, refLines, lines)
 }

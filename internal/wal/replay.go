@@ -5,36 +5,31 @@ import (
 	"sort"
 )
 
-// Replayer applies a live record stream (a Tailer's output) to a Target
-// incrementally, with the same hold-back semantics Recover applies in
-// batch: a step's settle/observe/forecasts prefix stays pending until the
-// step's round arrives behind it. That is what keeps a standby's state a
-// function of *committed* decisions only — a prefix whose round never
-// lands is a crashed leader's residue, and Finalize truncates it exactly
-// as crash recovery would.
+// Replayer is the one replay path: crash recovery (Recover) feeds it the
+// whole log at once, a standby feeds it a Tailer's output as the leader
+// writes. It applies the hold-back rule: a step's settle/observe/forecasts
+// prefix stays pending until the step's round arrives behind it, so the
+// replayed state is a function of *committed* decisions only. A prefix
+// whose round never lands is a crashed process's residue; Finalize aborts
+// it.
 //
-// Feeding discipline: Bootstrap (optionally) with the tail's snapshot,
-// then Ingest every record in LSN order. Records below the high-water
-// mark are skipped, so at promotion the caller can replay Open's
-// Recovered.Records wholesale without tracking what the tail already
-// delivered. Finalize is promotion: truncate the pending residue and
-// complete a trailing round-without-advance, against the now-writable
-// Store.
+// Feeding discipline: Bootstrap (optionally) with the snapshot, then
+// Ingest every record in LSN order. Records below the high-water mark are
+// skipped, so at promotion the caller can replay Open's Recovered.Records
+// wholesale (IngestAll) without tracking what the tail already delivered.
+// Finalize then runs once against the now-writable Store.
 type Replayer struct {
 	t       Target
 	pending map[string][]PositionedRecord
 	pend    int
 	last    map[string]string // last applied kind per domain
 
-	seen       uint64 // next unseen LSN
-	maxApplied uint64
-	anyApplied bool
-	rep        Report
+	seen uint64 // next unseen LSN
+	rep  Report
 }
 
 // NewReplayer builds a replayer over a freshly constructed, un-started
-// target (same contract as Recover: ReplayRound requires the engine to
-// have never run).
+// target (ReplayRound requires the engine to have never run).
 func NewReplayer(t Target) (*Replayer, error) {
 	if t.Engine == nil {
 		return nil, fmt.Errorf("wal: replayer needs an engine")
@@ -46,13 +41,13 @@ func NewReplayer(t Target) (*Replayer, error) {
 	}, nil
 }
 
-// Bootstrap restores the tail's snapshot and positions the replayer at
-// its LSN. Call at most once, before any Ingest.
+// Bootstrap restores the snapshot and positions the replayer at its LSN.
+// Call at most once, before any Ingest.
 func (r *Replayer) Bootstrap(snap *Snapshot) error {
 	if snap == nil {
 		return nil
 	}
-	if r.seen != 0 || r.anyApplied {
+	if r.seen != 0 {
 		return fmt.Errorf("wal: replayer bootstrap after records were ingested")
 	}
 	if err := restoreSnapshot(r.t, snap); err != nil {
@@ -81,7 +76,6 @@ func (r *Replayer) apply(pr PositionedRecord) error {
 		r.rep.Rounds++
 	}
 	r.last[pr.Rec.Domain] = pr.Rec.Kind
-	r.maxApplied, r.anyApplied = pr.LSN, true
 	r.rep.Applied++
 	return nil
 }
@@ -113,6 +107,12 @@ func (r *Replayer) Ingest(pr PositionedRecord) error {
 		}
 		delete(r.pending, pr.Rec.Domain)
 		return r.apply(pr)
+	case KindAbort:
+		// An earlier recovery gave this prefix up: its round never became
+		// durable, and the step re-ran live after the abort.
+		r.pend -= len(r.pending[pr.Rec.Domain])
+		delete(r.pending, pr.Rec.Domain)
+		return nil
 	case KindAdvance:
 		// An advance always rides behind its round in the same group
 		// commit; a pending prefix here means the log is malformed.
@@ -131,37 +131,49 @@ func (r *Replayer) Ingest(pr PositionedRecord) error {
 	}
 }
 
-// Finalize is the promotion step, run once the dead leader's log has been
-// fully ingested and s (the same directory, now opened for writing by the
-// about-to-be leader) is accepting appends. The pending residue — step
-// prefixes whose round never became durable — is physically truncated,
-// and a trailing round-without-advance is completed and re-logged, both
-// exactly as Recover does after a crash. The returned Report summarizes
-// the whole replay since Bootstrap.
+// IngestAll feeds a batch read by Open with s's appends suppressed: the
+// replay drives the engine and controller through their live code paths,
+// whose log hooks must not re-log what is being replayed.
+func (r *Replayer) IngestAll(s *Store, recs []PositionedRecord) error {
+	s.BeginRecovery()
+	defer s.EndRecovery()
+	for _, pr := range recs {
+		if err := r.Ingest(pr); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Finalize ends the replay against s, the log it came from, now open for
+// writing and holding nothing the replayer has not ingested. It appends
+// one abort record per domain that still has a pending prefix (sorted,
+// then synced), so every later replay of this log drops that prefix too;
+// no byte already written changes. It then completes a trailing
+// round-without-advance, whose outcomes were acked, deterministically and
+// logged, exactly as the crashed process would have. The returned Report
+// summarizes the whole replay since Bootstrap.
 func (r *Replayer) Finalize(s *Store) (*Report, error) {
+	if end := s.LSN(); end != r.seen {
+		return nil, fmt.Errorf("wal: finalize at LSN %d but the log ends at %d", r.seen, end)
+	}
 	if r.pend > 0 {
-		first := uint64(0)
-		got := false
-		for _, prs := range r.pending {
-			for _, pr := range prs {
-				if !got || pr.LSN < first {
-					first, got = pr.LSN, true
-				}
+		domains := make([]string, 0, len(r.pending))
+		for d := range r.pending {
+			domains = append(domains, d)
+		}
+		sort.Strings(domains)
+		for _, d := range domains {
+			if err := s.append(&Record{Kind: KindAbort, Domain: d}); err != nil {
+				return nil, err
 			}
 		}
-		if r.anyApplied && r.maxApplied > first {
-			// Same refusal as Recover: committed records landed after an
-			// uncommitted prefix (multi-domain interleave), so the residue
-			// is not the physical tail and cannot be truncated.
-			return nil, fmt.Errorf("wal: committed record at LSN %d after uncommitted tail starting at LSN %d (multi-domain interleave); cannot truncate", r.maxApplied, first)
-		}
-		if err := s.TruncateTail(first); err != nil {
+		if err := s.Sync(); err != nil {
 			return nil, err
 		}
 		r.rep.HeldBack = r.pend
 		r.pending = map[string][]PositionedRecord{}
 		r.pend = 0
-		r.seen = first
 	}
 
 	var complete []string

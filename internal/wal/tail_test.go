@@ -23,20 +23,23 @@ import (
 // joined LATE — after segments below the first snapshot were already
 // compacted away — bootstraps from the tailer's snapshot and follows the
 // live log. When the leader is hard-killed, the standby finalizes against
-// the reopened store (truncating the dead leader's uncommitted step
-// prefix, exactly as crash recovery would) and continues the run
+// the reopened store (aborting the dead leader's uncommitted step prefix,
+// exactly as crash recovery would) and continues the run
 // bit-identically to a process that was never replicated at all.
 
 // newStandbyProc builds the un-started target a Replayer feeds: the same
 // engine/controller/ledger stack as startProc, minus the WAL (a standby
 // only reads) and minus Start (the replay contract requires an engine
-// that has never run). Start it at promotion.
-func newStandbyProc(t testing.TB, cfg sim.Config, algorithm string) (*proc, *Replayer) {
+// that has never run). Start it at promotion. Extra names add engine-only
+// domains sharing the topology, as startTwoDomainProc does.
+func newStandbyProc(t testing.TB, cfg sim.Config, algorithm string, extra ...string) (*proc, *Replayer) {
 	t.Helper()
 	p := &proc{store: monitor.NewStore(0), ledger: yield.NewLedger()}
 	p.eng = admission.New(admission.Config{QueueDepth: 1024, Ledger: p.ledger})
-	if err := p.eng.AddDomain("", admission.DomainConfig{Net: cfg.Net, KPaths: cfg.KPaths, Algorithm: algorithm}); err != nil {
-		t.Fatal(err)
+	for _, name := range append([]string{""}, extra...) {
+		if err := p.eng.AddDomain(name, admission.DomainConfig{Net: cfg.Net, KPaths: cfg.KPaths, Algorithm: algorithm}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ctrl, err := reopt.New(reopt.Config{
 		Engine: p.eng, Store: p.store, Ledger: p.ledger,
@@ -130,7 +133,7 @@ func TestStandbyTailPromotionMatchesUninterrupted(t *testing.T) {
 
 	// The leader dies mid-step: a settle/observe prefix reaches disk,
 	// its round never does. The standby will see the prefix on its final
-	// drain and must hold it back, then truncate it at promotion.
+	// drain and must hold it back, then abort it at promotion.
 	if err := leader.wal.AppendSettle(admission.DefaultDomain, kill-1, []yield.Entry{{Slice: "ghost", Epoch: kill - 1, Realized: 1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +270,9 @@ func TestTailerMidSegmentSnapshotBootstrap(t *testing.T) {
 }
 
 // TestTailerShrunkSegmentFails: a segment shrinking under the tailer means
-// a new leader truncated the log this replica already consumed — the
-// replica is stale by definition and must die, not resync silently.
+// a new leader opened the log this replica was reading (Open repairs a
+// torn tail) — the replica is stale by definition and must die, not
+// resync silently.
 func TestTailerShrunkSegmentFails(t *testing.T) {
 	dir := t.TempDir()
 	s, _, err := Open(Options{Dir: dir, NoSync: true})

@@ -80,10 +80,9 @@ type Recovered struct {
 }
 
 type segInfo struct {
-	path    string
-	base    uint64  // LSN of the segment's first record
-	offsets []int64 // byte offset of each record in the file
-	size    int64
+	path string
+	base uint64 // LSN of the segment's first record
+	size int64
 }
 
 type snapInfo struct {
@@ -104,7 +103,6 @@ type Store struct {
 	next       uint64 // LSN the next append gets
 	recovering bool
 	closed     bool
-	appended   bool  // any append since Open (freezes the truncation index)
 	poisoned   error // first fence failure; permanent
 }
 
@@ -124,54 +122,26 @@ func Open(opt Options) (*Store, *Recovered, error) {
 	if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	s := &Store{opt: opt}
-	rec := &Recovered{}
-
-	names, err := os.ReadDir(opt.Dir)
+	segs, snaps, err := scanDir(opt.Dir)
 	if err != nil {
-		return nil, nil, fmt.Errorf("wal: %w", err)
+		return nil, nil, err
 	}
-	for _, de := range names {
-		name := de.Name()
-		switch {
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".seg"):
-			base, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".seg"), 16, 64)
-			if perr != nil {
-				return nil, nil, fmt.Errorf("wal: bad segment name %q", name)
-			}
-			s.segs = append(s.segs, segInfo{path: filepath.Join(opt.Dir, name), base: base})
-		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".json"):
-			lsn, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".json"), 16, 64)
-			if perr != nil {
-				return nil, nil, fmt.Errorf("wal: bad snapshot name %q", name)
-			}
-			s.snaps = append(s.snaps, snapInfo{path: filepath.Join(opt.Dir, name), lsn: lsn})
-		}
-	}
-	sort.Slice(s.segs, func(i, j int) bool { return s.segs[i].base < s.segs[j].base })
-	sort.Slice(s.snaps, func(i, j int) bool { return s.snaps[i].lsn < s.snaps[j].lsn })
-
-	// Newest readable snapshot wins; an unreadable one falls back to the
-	// previous (compaction keeps a spare for exactly this).
-	for i := len(s.snaps) - 1; i >= 0; i-- {
-		data, rerr := os.ReadFile(s.snaps[i].path)
-		if rerr != nil {
-			continue
-		}
-		var snap Snapshot
-		if json.Unmarshal(data, &snap) != nil || snap.LSN != s.snaps[i].lsn {
-			continue
-		}
-		rec.Snapshot = &snap
-		break
-	}
+	s := &Store{opt: opt, segs: segs, snaps: snaps}
+	rec := &Recovered{Snapshot: newestSnapshot(snaps)}
 	snapLSN := uint64(0)
 	if rec.Snapshot != nil {
 		snapLSN = rec.Snapshot.LSN
 	}
+	if len(segs) > 0 && segs[0].base > snapLSN {
+		// Compaction only removes segments a kept snapshot covers; with
+		// every covering snapshot unreadable the records below the oldest
+		// segment are simply gone, and replaying the rest onto empty state
+		// would serve a fabricated history.
+		return nil, nil, fmt.Errorf("wal: oldest segment starts at LSN %d, past the newest readable snapshot's LSN %d: records are missing", segs[0].base, snapLSN)
+	}
 
-	// Scan segments: index every record, repair a torn tail, and collect
-	// the suffix at or after the snapshot.
+	// Scan segments: repair a torn tail and collect the suffix at or after
+	// the snapshot.
 	s.next = 0
 	for i := range s.segs {
 		sg := &s.segs[i]
@@ -201,7 +171,6 @@ func Open(opt Options) (*Store, *Recovered, error) {
 				}
 				break
 			}
-			sg.offsets = append(sg.offsets, off)
 			if s.next >= snapLSN {
 				rec.Records = append(rec.Records, PositionedRecord{LSN: s.next, Rec: r})
 			}
@@ -234,6 +203,58 @@ func Open(opt Options) (*Store, *Recovered, error) {
 		s.w = bufio.NewWriterSize(f, writerBytes)
 	}
 	return s, rec, nil
+}
+
+// scanDir lists dir's segments and snapshots, each oldest first. A
+// missing directory is an empty log. Open and OpenTailer both start here.
+func scanDir(dir string) ([]segInfo, []snapInfo, error) {
+	names, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return nil, nil, nil
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("wal: %w", err)
+	}
+	var segs []segInfo
+	var snaps []snapInfo
+	for _, de := range names {
+		name := de.Name()
+		switch {
+		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".seg"):
+			base, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".seg"), 16, 64)
+			if perr != nil {
+				return nil, nil, fmt.Errorf("wal: bad segment name %q", name)
+			}
+			segs = append(segs, segInfo{path: filepath.Join(dir, name), base: base})
+		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".json"):
+			lsn, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".json"), 16, 64)
+			if perr != nil {
+				return nil, nil, fmt.Errorf("wal: bad snapshot name %q", name)
+			}
+			snaps = append(snaps, snapInfo{path: filepath.Join(dir, name), lsn: lsn})
+		}
+	}
+	sort.Slice(segs, func(i, j int) bool { return segs[i].base < segs[j].base })
+	sort.Slice(snaps, func(i, j int) bool { return snaps[i].lsn < snaps[j].lsn })
+	return segs, snaps, nil
+}
+
+// newestSnapshot loads the newest readable snapshot, nil when there is
+// none. An unreadable one falls back to the previous (compaction keeps a
+// spare for exactly this).
+func newestSnapshot(snaps []snapInfo) *Snapshot {
+	for i := len(snaps) - 1; i >= 0; i-- {
+		data, err := os.ReadFile(snaps[i].path)
+		if err != nil {
+			continue
+		}
+		var snap Snapshot
+		if json.Unmarshal(data, &snap) != nil || snap.LSN != snaps[i].lsn {
+			continue
+		}
+		return &snap
+	}
+	return nil
 }
 
 // openSegmentLocked creates a fresh segment whose first record will be LSN
@@ -280,10 +301,8 @@ func (s *Store) append(rec *Record) error {
 	if _, err := s.w.Write(frame); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	active.offsets = append(active.offsets, active.size)
 	active.size += int64(len(frame))
 	s.next++
-	s.appended = true
 	return nil
 }
 
@@ -511,68 +530,6 @@ func (s *Store) EndRecovery() {
 	s.mu.Lock()
 	s.recovering = false
 	s.mu.Unlock()
-}
-
-// TruncateTail physically drops every record at or after fromLSN — the
-// uncommitted step prefix a crash left behind. Recovery-time only: it must
-// run before any post-open append.
-func (s *Store) TruncateTail(fromLSN uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.appended {
-		return fmt.Errorf("wal: TruncateTail after appends")
-	}
-	if fromLSN >= s.next {
-		return nil
-	}
-	// Drop whole segments past the cut, newest first.
-	for len(s.segs) > 0 {
-		last := len(s.segs) - 1
-		if s.segs[last].base < fromLSN || last == 0 {
-			break
-		}
-		if s.f != nil {
-			s.w.Flush()
-			s.f.Close()
-			s.f, s.w = nil, nil
-		}
-		if err := os.Remove(s.segs[last].path); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		s.segs = s.segs[:last]
-	}
-	// Cut within the now-last segment.
-	sg := &s.segs[len(s.segs)-1]
-	if s.f != nil {
-		s.w.Flush()
-		s.f.Close()
-		s.f, s.w = nil, nil
-	}
-	if i := fromLSN - sg.base; fromLSN > sg.base && i < uint64(len(sg.offsets)) {
-		if err := os.Truncate(sg.path, sg.offsets[i]); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		sg.size = sg.offsets[i]
-		sg.offsets = sg.offsets[:i]
-	} else if fromLSN <= sg.base {
-		if err := os.Truncate(sg.path, 0); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		sg.size, sg.offsets = 0, nil
-	}
-	f, err := os.OpenFile(sg.path, os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if _, err := f.Seek(sg.size, 0); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
-	}
-	s.f = f
-	s.w = bufio.NewWriterSize(f, writerBytes)
-	s.next = fromLSN
-	s.syncDir()
-	return nil
 }
 
 // --- lifecycle ---

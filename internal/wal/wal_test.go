@@ -291,10 +291,11 @@ func TestSnapshotCompactsAndRecovers(t *testing.T) {
 		t.Fatalf("suffix %+v, want just the trailing advance", rec.Records)
 	}
 	// Compaction must have dropped segments before the older kept snapshot
-	// (LSN 6) while keeping everything at or after it.
-	for _, sg := range s2.segs {
-		if sg.base+uint64(len(sg.offsets)) < 6 && len(sg.offsets) > 0 {
-			t.Fatalf("segment %s (base %d) should have been compacted away", sg.path, sg.base)
+	// (LSN 6) while keeping everything at or after it. A segment's records
+	// end where its successor's begin.
+	for i := 0; i+1 < len(s2.segs); i++ {
+		if s2.segs[i+1].base <= 6 {
+			t.Fatalf("segment %s (LSNs %d..%d) should have been compacted away", s2.segs[i].path, s2.segs[i].base, s2.segs[i+1].base-1)
 		}
 	}
 
@@ -315,48 +316,70 @@ func TestSnapshotCompactsAndRecovers(t *testing.T) {
 	}
 }
 
-// TestTruncateTailDropsSuffix pins the uncommitted-tail repair recovery
-// relies on: records at or after the cut vanish physically and for good.
-func TestTruncateTailDropsSuffix(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := mustOpen(t, Options{Dir: dir, SegmentBytes: 96})
-	for i := 0; i < 10; i++ {
-		if err := s.AppendRound("default", uint64(i), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, _ := mustOpen(t, Options{Dir: dir})
-	if err := s2.TruncateTail(4); err != nil {
-		t.Fatal(err)
-	}
-	// The store keeps appending seamlessly after the cut.
-	if got := s2.LSN(); got != 4 {
-		t.Fatalf("LSN after truncate = %d, want 4", got)
-	}
-	if err := s2.AppendRound("default", 4, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s3, rec := mustOpen(t, Options{Dir: dir})
-	defer s3.Close()
-	if len(rec.Records) != 5 {
-		t.Fatalf("recovered %d records after truncate+append, want 5", len(rec.Records))
-	}
-	for i, pr := range rec.Records {
-		if pr.LSN != uint64(i) {
-			t.Fatalf("record %d has LSN %d", i, pr.LSN)
-		}
+// TestOpenRejectsLogBelowSnapshots: after compaction the oldest segment
+// starts above LSN 0, so the log is whole only together with a snapshot
+// at or past that point. When no such snapshot is readable, Open must fail
+// rather than hand recovery a suffix to replay onto empty state.
+func TestOpenRejectsLogBelowSnapshots(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		damage  []uint64 // snapshot LSNs overwritten with garbage
+		remove  []uint64 // snapshot LSNs deleted
+		wantLSN uint64   // restored snapshot; 0 means Open must fail
+	}{
+		{name: "both snapshots readable", wantLSN: 9},
+		{name: "newest unreadable", damage: []uint64{9}, wantLSN: 6},
+		{name: "every snapshot unreadable", damage: []uint64{6, 9}},
+		{name: "every snapshot deleted", remove: []uint64{6, 9}},
+		{name: "spare deleted, newest unreadable", damage: []uint64{9}, remove: []uint64{6}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _ := mustOpen(t, Options{Dir: dir, SegmentBytes: 64})
+			for i := 0; i < 9; i++ {
+				if err := s.AppendRound("default", uint64(i), nil); err != nil {
+					t.Fatal(err)
+				}
+				if (i+1)%3 == 0 {
+					if err := s.WriteSnapshot(&Snapshot{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			snapPath := func(lsn uint64) string { return filepath.Join(dir, fmt.Sprintf("snap-%016x.json", lsn)) }
+			for _, lsn := range tc.damage {
+				if err := os.WriteFile(snapPath(lsn), []byte("{not json"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, lsn := range tc.remove {
+				if err := os.Remove(snapPath(lsn)); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			s2, rec, err := Open(Options{Dir: dir})
+			if tc.wantLSN == 0 {
+				if err == nil || !strings.Contains(err.Error(), "missing") {
+					s2.Close()
+					t.Fatalf("log with LSNs below its oldest segment unrecoverable opened: err %v", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			if rec.Snapshot == nil || rec.Snapshot.LSN != tc.wantLSN {
+				t.Fatalf("restored snapshot %+v, want LSN %d", rec.Snapshot, tc.wantLSN)
+			}
+			if len(rec.Records) != int(9-tc.wantLSN) || (len(rec.Records) > 0 && rec.Records[0].LSN != tc.wantLSN) {
+				t.Fatalf("suffix %+v, want LSNs %d..8", rec.Records, tc.wantLSN)
+			}
+		})
 	}
 }
 
