@@ -152,13 +152,19 @@ func (t *Ticket) Err() error {
 // a re-dispatched solve after a worker loss, and a local solve all return
 // the bit-identical decision.
 //
-// Neither slice may be retained or mutated past the call. Recovery replay
-// (ReplayRound) never routes through an Executor: it always solves on the
-// engine's local solver, so a crashed coordinator recovers without waiting
-// for workers to rejoin.
+// Neither slice may be retained or mutated past the call. An executor that
+// cannot place the round returns ErrSolveLocally, and the engine solves it
+// on the domain's own DomainSolver. Recovery replay (ReplayRound) never
+// routes through an Executor: it always solves on that local solver, so a
+// crashed coordinator recovers without waiting for workers to rejoin.
 type Executor interface {
 	SolveRound(domain string, seq uint64, events []topology.Event, tenants []core.TenantSpec) (*core.Decision, error)
 }
+
+// ErrSolveLocally is an Executor's answer when it cannot place a round (no
+// worker replied in time): the engine then solves the round on the
+// domain's own solver. It never reaches a caller.
+var ErrSolveLocally = errors.New("admission: executor could not place the round; solve locally")
 
 // DomainConfig describes one operator domain the engine serves: its
 // topology, path budget and AC-RR algorithm.
@@ -252,12 +258,6 @@ type Config struct {
 	// TenantCap bounds queued requests per tenant (fairness); default
 	// QueueDepth (no extra cap).
 	TenantCap int
-	// MaxBatch flushes a domain's batch into a round once it reaches this
-	// size; 0 disables size-triggered flushing (timer/manual only).
-	MaxBatch int
-	// FlushEvery flushes all non-empty batches on this period; 0 disables
-	// the timer (manual Flush/DecideRound only — the ctrlplane epoch mode).
-	FlushEvery time.Duration
 	// Store, when set, receives per-round metrics samples (slice
 	// "admission", metrics "round_batch", "round_ms", "queue_depth",
 	// "round_expected_revenue", element = domain name, epoch = the

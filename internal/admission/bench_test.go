@@ -97,9 +97,9 @@ func BenchmarkAdmissionThroughput(b *testing.B) {
 // re-entry against a mostly-pinned committed set) versus a single
 // coalesced round (one solve, but a master MILP with K free admission
 // binaries). The numbers put the trade-off on record: incremental rounds
-// are the cheap steady-state path, and the micro-batcher's flush knobs
-// exist to bound the solve rate under bursts — one round per flush period
-// no matter how many requests arrive — not to make a round cheaper.
+// are the cheap steady-state path; coalescing exists to bound the solve
+// rate under bursts — one round per DecideRound no matter how many
+// requests arrive — not to make a round cheaper.
 func BenchmarkAdmissionBatching(b *testing.B) {
 	const perWave = 8
 	types := []slice.Type{slice.EMBB, slice.URLLC, slice.MMTC}

@@ -1,12 +1,12 @@
 // Package admission turns the batch AC-RR orchestrator into an online,
 // load-generator-scale serving layer: tenants submit slice requests
-// continuously and the engine decides admit/reject in micro-batched rounds,
+// continuously and the engine decides admit/reject in batched rounds,
 // at whatever concurrency the hardware allows, without ever changing what
 // the paper's solver would have decided.
 //
 // The pipeline is
 //
-//	Submit → bounded queue → micro-batcher → domain shard → warm session
+//	Submit → bounded queue → per-domain batch → domain shard → DomainSolver
 //
 // with four load-bearing properties:
 //
@@ -17,17 +17,18 @@
 //     Shedding is an explicit, counted outcome — the metrics snapshot is
 //     how an operator sees it.
 //
-//  2. Micro-batching. Concurrent requests to one domain coalesce into a
-//     single admission round — one AC-RR instance solve — flushed when the
-//     batch reaches Config.MaxBatch, when Config.FlushEvery elapses, or
-//     when the caller forces a round (Flush / DecideRound). Batching is
-//     what makes the LP affordable per request: a round costs one solve
-//     regardless of how many requests ride in it.
+//  2. Batching. Concurrent requests to one domain coalesce into its batch
+//     until the caller decides a round (DecideRound; Drain flushes what is
+//     left): one AC-RR instance solve, regardless of how many requests
+//     ride in it. Batching is what makes the LP affordable per request.
 //
 //  3. Warm sharded solving. Each operator domain is pinned to exactly one
 //     shard (round-robin in registration order, so the placement is
-//     deterministic and balanced), and every round of a domain executes serially on
-//     that shard against the domain's own core.BendersSession. Rounds that
+//     deterministic and balanced), and every round of a domain executes
+//     serially on that shard against the domain's own DomainSolver — the
+//     one place a normalized DomainConfig becomes a solver (a warm
+//     core.BendersSession for Benders) and a round becomes an instance;
+//     cluster workers build theirs with the same constructor. Rounds that
 //     only drift forecasts therefore rebind the slave LP instead of
 //     rebuilding it (PR 1/2's sameSolverShape machinery); rounds that
 //     change the tenant set cold-rebuild, which is always correct. Shards
@@ -41,10 +42,10 @@
 //  4. Determinism. A round's instance is built in canonical order —
 //     committed slices in admission order, then the batch sorted by request
 //     name — so the decision for a given round set is independent of
-//     submission interleaving, shard count, and flush timing. Combined with
-//     the solver's lexicographic tie-break (core.tieBreakBase) the engine's
-//     decisions are bit-identical to a serial single-shard replay of the
-//     same rounds, which is what the equality tests pin.
+//     submission interleaving and shard count. Combined with the solver's
+//     lexicographic tie-break (core.tieBreakBase) the engine's decisions
+//     are bit-identical to a serial single-shard replay of the same
+//     rounds, which is what the equality tests pin.
 //
 // A cheap capacity-headroom prefilter fast-rejects requests that are
 // structurally infeasible — no CU reachable from every BS within the delay

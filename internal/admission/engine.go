@@ -2,6 +2,7 @@ package admission
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -30,9 +31,7 @@ type Engine struct {
 	// enq tracks callers between releasing mu and pushing a job onto a
 	// shard channel, so Stop never closes a channel under an in-flight send.
 	enq sync.WaitGroup
-	wg  sync.WaitGroup // shard + ticker goroutines
-
-	stopTicker chan struct{}
+	wg  sync.WaitGroup // shard goroutines
 }
 
 type engineState int
@@ -86,9 +85,8 @@ type member struct {
 // domain-name order, so there is no ordering to get wrong elsewhere.
 type domain struct {
 	name   string
-	cfg    DomainConfig
 	shard  *shard
-	paths  [][][]topology.Path
+	solver *DomainSolver
 	filter prefilter
 
 	// Guarded by Engine.mu.
@@ -99,13 +97,10 @@ type domain struct {
 	dmu       sync.Mutex
 	committed []*member
 	byName    map[string]*member
-	solveFn   func(*core.Instance) (*core.Decision, error)
+	exec      Executor
 	rounds    uint64
-	// curNet is the network rounds currently solve against: cfg.Net with
-	// every ApplyTopology event folded in (topoEvents, in arrival order).
-	// A topology event swaps the pointer, which the warm solver treats as
-	// a shape change — the next round rebuilds cold, by design.
-	curNet     *topology.Network
+	// topoEvents is every ApplyTopology event in arrival order; the solver
+	// solves against its base network with these folded in.
 	topoEvents []topology.Event
 }
 
@@ -113,11 +108,10 @@ type domain struct {
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{
-		cfg:        cfg,
-		domains:    map[string]*domain{},
-		perTenant:  map[string]int{},
-		stopTicker: make(chan struct{}),
-		met:        newMetrics(),
+		cfg:       cfg,
+		domains:   map[string]*domain{},
+		perTenant: map[string]int{},
+		met:       newMetrics(),
 	}
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
@@ -138,24 +132,17 @@ func (e *Engine) AddDomain(name string, dc DomainConfig) error {
 	if err != nil {
 		return err
 	}
+	solver, err := NewDomainSolver(dc)
+	if err != nil {
+		return err
+	}
 	d := &domain{
 		name:   name,
-		cfg:    dc,
-		paths:  dc.Net.Paths(dc.KPaths),
+		solver: solver,
+		filter: newPrefilter(dc, solver.paths),
 		names:  map[string]bool{},
 		byName: map[string]*member{},
-		curNet: dc.Net,
-	}
-	d.filter = newPrefilter(dc, d.paths)
-	switch dc.Algorithm {
-	case "benders":
-		d.solveFn = core.NewBendersSession(dc.Benders).Solve
-	case "direct", "no-overbooking":
-		d.solveFn = core.SolveDirect
-	case "kac":
-		d.solveFn = func(inst *core.Instance) (*core.Decision, error) {
-			return core.SolveKAC(inst, core.KACOptions{})
-		}
+		exec:   dc.Executor,
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -182,12 +169,12 @@ func (e *Engine) SetExecutor(domainName string, exec Executor) error {
 		return err
 	}
 	d.dmu.Lock()
-	d.cfg.Executor = exec
+	d.exec = exec
 	d.dmu.Unlock()
 	return nil
 }
 
-// Start launches the shard workers (and the flush ticker, if configured).
+// Start launches the shard workers.
 func (e *Engine) Start() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -198,10 +185,6 @@ func (e *Engine) Start() error {
 	for _, sh := range e.shards {
 		e.wg.Add(1)
 		go e.runShard(sh)
-	}
-	if e.cfg.FlushEvery > 0 {
-		e.wg.Add(1)
-		go e.runTicker()
 	}
 	return nil
 }
@@ -270,25 +253,14 @@ func (e *Engine) Submit(req Request) (*Ticket, error) {
 	e.perTenant[tenant]++
 	d.names[req.Name] = true
 	d.batch = append(d.batch, pending{req: req, ticket: t, submitted: now})
-	var flush []pending
-	if e.cfg.MaxBatch > 0 && len(d.batch) >= e.cfg.MaxBatch {
-		flush, d.batch = d.batch, nil
-	}
-	if flush != nil {
-		e.enq.Add(1)
-	}
 	e.mu.Unlock()
-
-	if flush != nil {
-		d.shard.jobs <- &roundJob{d: d, batch: flush}
-		e.enq.Done()
-	}
 	return t, nil
 }
 
-// Flush forces a round for every domain with a non-empty batch. It returns
-// after the rounds are enqueued, not after they are decided.
-func (e *Engine) Flush() {
+// flush enqueues a round for every domain with a non-empty batch (Drain's
+// last rounds). It returns after the rounds are enqueued, not after they
+// are decided.
+func (e *Engine) flush() {
 	e.mu.Lock()
 	if e.state != stateRunning && e.state != stateDraining {
 		e.mu.Unlock()
@@ -512,7 +484,7 @@ func (e *Engine) ApplyTopology(domainName string, events []topology.Event) error
 	merged := make([]topology.Event, 0, len(d.topoEvents)+len(events))
 	merged = append(merged, d.topoEvents...)
 	merged = append(merged, events...)
-	net, err := topology.Apply(d.cfg.Net, merged)
+	net, err := topology.Apply(d.solver.cfg.Net, merged)
 	if err != nil {
 		return fmt.Errorf("admission: %w", err)
 	}
@@ -528,7 +500,7 @@ func (e *Engine) ApplyTopology(domainName string, events []topology.Event) error
 		}
 	}
 	d.topoEvents = merged
-	d.curNet = net
+	d.solver.adopt(net, len(merged))
 	return nil
 }
 
@@ -607,15 +579,15 @@ func (e *Engine) Handover(fromDomain, toDomain, name string) error {
 	if m == nil {
 		return fail(fmt.Errorf("admission: no committed slice %q in domain %q", name, fromDomain))
 	}
-	if nbs := to.cfg.Net.NumBS(); len(m.reserved) != nbs {
+	if nbs := to.solver.cfg.Net.NumBS(); len(m.reserved) != nbs {
 		return fail(fmt.Errorf("admission: handover %q: reservation spans %d BSs, domain %q has %d",
 			name, len(m.reserved), toDomain, nbs))
 	}
-	if m.cu < 0 || m.cu >= to.cfg.Net.NumCU() {
+	if m.cu < 0 || m.cu >= to.solver.cfg.Net.NumCU() {
 		return fail(fmt.Errorf("admission: handover %q: CU %d not present in domain %q", name, m.cu, toDomain))
 	}
 	for b, pi := range m.pathIdx {
-		if pi < 0 || pi >= len(to.paths[b][m.cu]) {
+		if pi < 0 || pi >= len(to.solver.paths[b][m.cu]) {
 			return fail(fmt.Errorf("admission: handover %q: path %d not available at BS %d in domain %q",
 				name, pi, b, toDomain))
 		}
@@ -654,7 +626,7 @@ func (e *Engine) Paths(domainName string) ([][][]topology.Path, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d.paths, nil
+	return d.solver.paths, nil
 }
 
 // Committed lists the domain's committed slice names in admission order.
@@ -701,7 +673,7 @@ func (e *Engine) Drain(ctx context.Context) error {
 	e.state = stateDraining
 	e.mu.Unlock()
 
-	e.Flush()
+	e.flush()
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
 	for {
@@ -750,7 +722,6 @@ func (e *Engine) Stop() {
 		// No new sends can start (state is stopped); wait out in-flight
 		// ones, then close the channels so workers drain and exit.
 		e.enq.Wait()
-		close(e.stopTicker)
 		for _, sh := range e.shards {
 			close(sh.jobs)
 		}
@@ -763,21 +734,6 @@ func (e *Engine) tenantDoneLocked(tenant string) {
 		delete(e.perTenant, tenant)
 	} else {
 		e.perTenant[tenant] = n - 1
-	}
-}
-
-// runTicker drives timer-based flushing.
-func (e *Engine) runTicker() {
-	defer e.wg.Done()
-	tick := time.NewTicker(e.cfg.FlushEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-e.stopTicker:
-			return
-		case <-tick.C:
-			e.Flush()
-		}
 	}
 }
 
@@ -798,7 +754,7 @@ func (e *Engine) execRound(job *roundJob) {
 
 	// Canonical batch order: sorted by name, so the instance — and with the
 	// tie-broken solver, the decision — is independent of submission
-	// interleaving and flush timing for a given round set.
+	// interleaving for a given round set.
 	sort.Slice(job.batch, func(i, j int) bool { return job.batch[i].req.Name < job.batch[j].req.Name })
 
 	d.dmu.Lock()
@@ -843,18 +799,18 @@ func (e *Engine) execRound(job *roundJob) {
 		// Logging failed; decide nothing.
 	case len(specs) == 0:
 		dec = &core.Decision{} // nothing to decide, nothing to re-optimize
-	case d.cfg.Executor != nil && !job.replay:
+	case d.exec != nil && !job.replay:
 		// Remote solve: the executor sees the same canonical inputs the
-		// local branch below would and is contractually bit-identical.
-		// Replay deliberately stays on the local branch — recovery must
-		// not depend on workers having rejoined.
-		dec, err = d.cfg.Executor.SolveRound(d.name, r.Seq, d.topoEvents, specs)
-	default:
-		inst := &core.Instance{
-			Net: d.curNet, Paths: d.paths, Tenants: specs,
-			Overbook: d.cfg.overbook(), BigM: d.cfg.BigM, RiskHorizon: d.cfg.RiskHorizon,
+		// local solve would and is contractually bit-identical; when it
+		// cannot place the round the domain's own solver takes it. Replay
+		// deliberately stays local — recovery must not depend on workers
+		// having rejoined.
+		dec, err = d.exec.SolveRound(d.name, r.Seq, d.topoEvents, specs)
+		if errors.Is(err, ErrSolveLocally) {
+			dec, err = d.solver.Solve(d.topoEvents, specs)
 		}
-		dec, err = d.solveFn(inst)
+	default:
+		dec, err = d.solver.Solve(d.topoEvents, specs)
 	}
 
 	outcomes := make([]Outcome, len(job.batch))

@@ -178,46 +178,6 @@ func TestPrefilterCapacityHardOnly(t *testing.T) {
 	}
 }
 
-func TestSizeTriggeredFlush(t *testing.T) {
-	// eMBB carries no compute demand, so two full-SLA slices co-fit the
-	// testbed radio (2 × 50 of 150 Mb/s per BS) and both admit.
-	e := newTestEngine(t, Config{MaxBatch: 2}, DomainConfig{Algorithm: "direct"})
-	tk1, err := e.Submit(Request{Name: "u1", SLA: testSLA(slice.EMBB, 4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-tk1.Done():
-		t.Fatal("round ran before the batch filled")
-	case <-time.After(20 * time.Millisecond):
-	}
-	tk2, err := e.Submit(Request{Name: "u2", SLA: testSLA(slice.EMBB, 4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out1, out2 := waitOutcome(t, tk1), waitOutcome(t, tk2)
-	if !out1.Admitted || !out2.Admitted {
-		t.Fatalf("outcomes: %+v %+v", out1, out2)
-	}
-	if out1.Round != out2.Round {
-		t.Fatalf("requests split across rounds %d and %d, want one micro-batch", out1.Round, out2.Round)
-	}
-	if m := e.Metrics(); m.Rounds != 1 || m.MeanBatch != 2 {
-		t.Fatalf("batching metrics: %+v", m)
-	}
-}
-
-func TestTimerTriggeredFlush(t *testing.T) {
-	e := newTestEngine(t, Config{FlushEvery: 2 * time.Millisecond}, DomainConfig{Algorithm: "direct"})
-	tk, err := e.Submit(Request{Name: "u1", SLA: testSLA(slice.URLLC, 4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := waitOutcome(t, tk); !out.Admitted {
-		t.Fatalf("outcome: %+v", out)
-	}
-}
-
 func TestForecastDriftShrinksReservations(t *testing.T) {
 	e := newTestEngine(t, Config{}, DomainConfig{Algorithm: "benders"})
 	tk, err := e.Submit(Request{Name: "u1", SLA: testSLA(slice.URLLC, 16)})
@@ -361,11 +321,14 @@ func TestMonitorPublishing(t *testing.T) {
 }
 
 func TestMetricsLatencyQuantiles(t *testing.T) {
-	e := newTestEngine(t, Config{MaxBatch: 1}, DomainConfig{Algorithm: "direct"})
+	e := newTestEngine(t, Config{}, DomainConfig{Algorithm: "direct"})
 	var tickets []*Ticket
 	for _, n := range []string{"a", "b", "c"} {
 		tk, err := e.Submit(Request{Name: n, SLA: testSLA(slice.URLLC, 4)})
 		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.DecideRound(""); err != nil {
 			t.Fatal(err)
 		}
 		tickets = append(tickets, tk)

@@ -54,8 +54,8 @@ type Snapshot struct {
 	// QueueDepth is the current number of accepted-but-undecided requests.
 	QueueDepth int `json:"queue_depth"`
 
-	// Rounds and MeanBatch describe batching efficiency: decisions per LP
-	// solve is the whole point of the micro-batcher.
+	// Rounds and MeanBatch describe batching efficiency: every request
+	// queued between two rounds of a domain shares one LP solve.
 	Rounds    uint64  `json:"rounds"`
 	MeanBatch float64 `json:"mean_batch"`
 

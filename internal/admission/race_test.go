@@ -14,10 +14,11 @@ import (
 
 // TestRaceOutageHandoverNoLostSlices is the adversarial cousin of
 // TestConcurrentStressConservation: submitters hammer two domains while a
-// chaos goroutine storms BS outages and recoveries into one of them
-// mid-wave, and committed slices hand over between the domains at every
-// wave boundary. Run under -race (make test-race / CI) it is the data-race
-// gate for the topology and handover paths; its own assertions are
+// chaos goroutine storms BS outages and recoveries into one of them and
+// concurrent DecideRound callers cut rounds mid-wave, and committed slices
+// hand over between the domains at every wave boundary. Run under -race
+// (make test-race / CI) it is the data-race gate for the topology and
+// handover paths; its own assertions are
 // conservation — every submission decided exactly once, counters exact —
 // and no lost slices: every admitted slice is committed in exactly one
 // domain afterward, handed-over slices only in their destination.
@@ -28,7 +29,7 @@ func TestRaceOutageHandoverNoLostSlices(t *testing.T) {
 		waves      = 6
 		toggles    = 32 // outage/recovery flips per wave, racing the submitters
 	)
-	e := New(Config{Shards: 4, QueueDepth: 256, MaxBatch: 4, FlushEvery: 500 * time.Microsecond})
+	e := New(Config{Shards: 4, QueueDepth: 256})
 	for _, d := range []string{"a", "b"} {
 		if err := e.AddDomain(d, DomainConfig{Net: topology.Testbed(), Algorithm: "direct"}); err != nil {
 			t.Fatal(err)
@@ -51,6 +52,7 @@ func TestRaceOutageHandoverNoLostSlices(t *testing.T) {
 	handed := map[string]bool{}
 
 	for wave := 0; wave < waves; wave++ {
+		stopRounds := decideWhile(t, e, "a", "b")
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func(wave int) {
@@ -102,6 +104,7 @@ func TestRaceOutageHandoverNoLostSlices(t *testing.T) {
 			}
 		}
 		wg.Wait()
+		stopRounds()
 		if t.Failed() {
 			t.Fatal("wave failed")
 		}

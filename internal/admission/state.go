@@ -68,13 +68,13 @@ func (e *Engine) RestoreDomain(st DomainState) error {
 		return fmt.Errorf("admission: domain %q already has state; restore must precede serving", d.name)
 	}
 	if len(st.TopoEvents) > 0 {
-		net, err := topology.Apply(d.cfg.Net, st.TopoEvents)
+		net, err := topology.Apply(d.solver.cfg.Net, st.TopoEvents)
 		if err != nil {
 			d.dmu.Unlock()
 			return fmt.Errorf("admission: restore domain %q: %w", d.name, err)
 		}
 		d.topoEvents = append([]topology.Event(nil), st.TopoEvents...)
-		d.curNet = net
+		d.solver.adopt(net, len(d.topoEvents))
 	}
 	for _, cs := range st.Committed {
 		m := &member{

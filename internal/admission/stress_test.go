@@ -13,11 +13,45 @@ import (
 	"repro/internal/topology"
 )
 
+// decideWhile races the submitters with concurrent DecideRound callers —
+// two per domain, each deciding a round every 500µs — until the returned
+// stop is called; stop waits for them to exit.
+func decideWhile(t *testing.T, e *Engine, domains ...string) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, dom := range domains {
+		for k := 0; k < 2; k++ {
+			wg.Add(1)
+			go func(dom string) {
+				defer wg.Done()
+				tick := time.NewTicker(500 * time.Microsecond)
+				defer tick.Stop()
+				for {
+					select {
+					case <-done:
+						return
+					case <-tick.C:
+					}
+					if _, err := e.DecideRound(dom); err != nil {
+						t.Errorf("round %s: %v", dom, err)
+						return
+					}
+				}
+			}(dom)
+		}
+	}
+	return func() {
+		close(done)
+		wg.Wait()
+	}
+}
+
 // TestConcurrentStressConservation hammers a sharded engine from many
-// goroutines under aggressive timer/size flushing and checks the invariant
-// the serving layer lives by: every submitted request gets exactly one
-// decision — none lost, none duplicated, every counter conserved. Run under
-// -race (make test-race / CI) this is also the engine's data-race gate.
+// goroutines while concurrent DecideRound callers cut rounds under them,
+// and checks the invariant the serving layer lives by: every submitted
+// request gets exactly one decision — none lost, none duplicated, every
+// counter conserved. Run under -race (make test-race / CI) this is also
+// the engine's data-race gate.
 func TestConcurrentStressConservation(t *testing.T) {
 	const (
 		domains    = 4
@@ -28,11 +62,11 @@ func TestConcurrentStressConservation(t *testing.T) {
 		Shards:     4,
 		QueueDepth: 64,
 		TenantCap:  24,
-		MaxBatch:   4,
-		FlushEvery: 500 * time.Microsecond,
 	})
+	var names []string
 	for d := 0; d < domains; d++ {
-		if err := e.AddDomain(fmt.Sprintf("op%d", d), DomainConfig{Net: topology.Testbed(), Algorithm: "direct"}); err != nil {
+		names = append(names, fmt.Sprintf("op%d", d))
+		if err := e.AddDomain(names[d], DomainConfig{Net: topology.Testbed(), Algorithm: "direct"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -40,6 +74,7 @@ func TestConcurrentStressConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Stop()
+	stopRounds := decideWhile(t, e, names...)
 
 	type sub struct {
 		name string
@@ -77,8 +112,9 @@ func TestConcurrentStressConservation(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	stopRounds()
 	if t.Failed() {
-		t.Fatal("unexpected submit errors")
+		t.Fatal("unexpected submit or round errors")
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

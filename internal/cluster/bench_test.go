@@ -45,22 +45,22 @@ func BenchmarkClusterRoundLoopback(b *testing.B) {
 // BenchmarkClusterRoundLocal is the no-wire reference for the loopback
 // benchmark: same spec, same tenants, same solver, direct call.
 func BenchmarkClusterRoundLocal(b *testing.B) {
-	host := NewSolverHost()
 	spec, err := NewDomainSpec("", testDomainConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := host.Register(spec); err != nil {
+	sol, err := spec.solver()
+	if err != nil {
 		b.Fatal(err)
 	}
 	tenants := testTenants()
-	if _, err := host.Solve(admission.DefaultDomain, nil, tenants); err != nil {
+	if _, err := sol.Solve(nil, tenants); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := host.Solve(admission.DefaultDomain, nil, tenants); err != nil {
+		if _, err := sol.Solve(nil, tenants); err != nil {
 			b.Fatal(err)
 		}
 	}

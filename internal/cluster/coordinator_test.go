@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -128,15 +130,15 @@ func TestInFlightRoundRedispatchedOnWorkerLoss(t *testing.T) {
 	}
 
 	// The reference: the identical pure solve, no cluster anywhere.
-	host := NewSolverHost()
 	spec, err := NewDomainSpec("", dc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := host.Register(spec); err != nil {
+	sol, err := spec.solver()
+	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := host.Solve(admission.DefaultDomain, nil, tenants)
+	want, err := sol.Solve(nil, tenants)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,34 +148,37 @@ func TestInFlightRoundRedispatchedOnWorkerLoss(t *testing.T) {
 }
 
 // TestSolveRoundFallsBackLocallyWithNoWorkers pins the degraded mode: a
-// coordinator with zero live workers still answers rounds (locally), so
-// losing the whole worker fleet degrades throughput, never correctness.
+// coordinator with zero live workers hands every round back to the
+// engine (admission.ErrSolveLocally) instead of solving it itself, and an
+// engine whose executor is that coordinator decides exactly what a plain
+// in-process engine decides — losing the whole worker fleet degrades
+// throughput, never correctness.
 func TestSolveRoundFallsBackLocallyWithNoWorkers(t *testing.T) {
-	dc := testDomainConfig()
+	spec := ciSized(archetypeByName(t, "outage"))
+	cfg, err := spec.Compile(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc := admission.DomainConfig{Net: cfg.Net, KPaths: cfg.KPaths, Algorithm: spec.Algorithm}
 	coord := NewCoordinator(CoordinatorOptions{Log: testLogger(t)})
 	defer coord.Close()
 	if err := coord.RegisterDomain("", dc); err != nil {
 		t.Fatal(err)
 	}
-	tenants := testTenants()
-	got, err := coord.SolveRound(admission.DefaultDomain, 1, nil, tenants)
-	if err != nil {
-		t.Fatal(err)
+	dec, err := coord.SolveRound(admission.DefaultDomain, 1, nil, testTenants())
+	if !errors.Is(err, admission.ErrSolveLocally) || dec != nil {
+		t.Fatalf("SolveRound with no workers: dec=%v err=%v, want admission.ErrSolveLocally", dec, err)
 	}
-	host := NewSolverHost()
-	spec, err := NewDomainSpec("", dc)
-	if err != nil {
-		t.Fatal(err)
+
+	reqs := requestsOf(cfg)
+	want := engineReplay(t, cfg, reqs, dc, spec.ReofferPending, nil)
+	if anyRoundFailed(want) {
+		t.Fatalf("setup: a round failed in-process:\n%s", strings.Join(want, "\n"))
 	}
-	if err := host.Register(spec); err != nil {
-		t.Fatal(err)
-	}
-	want, err := host.Solve(admission.DefaultDomain, nil, tenants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("local fallback diverged:\n got: %+v\nwant: %+v", got, want)
+	dc.Executor = coord
+	got := engineReplay(t, cfg, reqs, dc, spec.ReofferPending, nil)
+	if diff := firstDiff(want, got); diff != "" {
+		t.Fatalf("engine with a workerless coordinator diverged:\n%s", diff)
 	}
 }
 

@@ -16,11 +16,14 @@
 // worker's domains (rendezvous minimal movement), both pinned by tests.
 //
 // A worker (cmd/ovnes-worker, or an in-process loopback worker) hosts
-// warm per-domain solver state exactly as the engine's own shards do: it
-// receives each domain's full config once (an assign message carrying
-// the base topology as JSON), then solves round after round against a
-// warm core.BendersSession, re-deriving the live network from the
-// accumulated capacity events each round ships.
+// each assigned domain's admission.DomainSolver, built by the constructor
+// the engine's own shards use: it receives each domain's full config once
+// (an assign message carrying the base topology as JSON and the already
+// normalized knobs), then solves round after round against the warm
+// solver, re-deriving the live network from the accumulated capacity
+// events each round ships. The coordinator holds no solver: when no
+// worker answers within DispatchTimeout, SolveRound returns
+// admission.ErrSolveLocally and the engine solves on its own DomainSolver.
 //
 // # Why cross-network determinism holds
 //
@@ -30,7 +33,7 @@
 // use shortest-form encoding) or is an int/string, and warm solver state
 // is a cache that cannot move a decision (the warm==cold pins). So a
 // solve on worker A, the same solve re-dispatched to worker B after A is
-// SIGKILLed mid-round, and a local in-process solve all return the
+// SIGKILLed mid-round, and the engine's own in-process solve all return the
 // bit-identical decision — which is what lets the coordinator re-dispatch
 // in-flight rounds on worker loss without losing or reordering any
 // decision, and what the worker-count {1,2,4} equality tests and the

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -100,12 +101,12 @@ func slaOf(reqs []refRequest, name string) slice.SLA {
 }
 
 // engineReplay drives the full admission protocol through an engine whose
-// default domain may (exec != nil) route solves through the cluster.
-// onEpoch runs at the top of each epoch — the kill hook.
-func engineReplay(t *testing.T, cfg sim.Config, reqs []refRequest, algorithm string, reoffer bool, exec admission.Executor, onEpoch func(epoch int)) []string {
+// default domain is dc; it routes solves through the cluster when
+// dc.Executor is set. onEpoch runs at the top of each epoch — the kill
+// hook.
+func engineReplay(t *testing.T, cfg sim.Config, reqs []refRequest, dc admission.DomainConfig, reoffer bool, onEpoch func(epoch int)) []string {
 	t.Helper()
 	e := admission.New(admission.Config{QueueDepth: 4 * len(reqs)})
-	dc := admission.DomainConfig{Net: cfg.Net, KPaths: cfg.KPaths, Algorithm: algorithm, Executor: exec}
 	if err := e.AddDomain("", dc); err != nil {
 		t.Fatal(err)
 	}
@@ -181,13 +182,19 @@ func engineReplay(t *testing.T, cfg sim.Config, reqs []refRequest, algorithm str
 		}
 		r, err := e.DecideRound("")
 		if err != nil {
-			t.Fatal(err)
+			// A failed round (hard capacity the live network cannot honour)
+			// is an outcome too, and both sides must fail it alike.
+			lines = append(lines, fmt.Sprintf("epoch %d: round failed", epoch))
+		} else {
+			lines = append(lines, fingerprint(epoch, r.Names, r.Decision))
 		}
-		lines = append(lines, fingerprint(epoch, r.Names, r.Decision))
 
 		var still []live
 		for _, lv := range inflight {
 			out, ok := lv.tk.Outcome()
+			if !ok && lv.tk.Err() != nil {
+				continue // decided by a failed round: dropped, not re-offered
+			}
 			if !ok {
 				t.Fatalf("epoch %d: ticket %s undecided after round", epoch, lv.req.name)
 			}
@@ -207,9 +214,14 @@ func engineReplay(t *testing.T, cfg sim.Config, reqs []refRequest, algorithm str
 	return lines
 }
 
-// startCluster brings up a coordinator with n loopback workers and the
-// default domain registered, and waits for full membership.
-func startCluster(t *testing.T, cfg sim.Config, algorithm string, n int) (*Coordinator, map[string]func()) {
+// anyRoundFailed reports whether an engineReplay trace holds a failed round.
+func anyRoundFailed(lines []string) bool {
+	return strings.Contains(strings.Join(lines, "\n"), "round failed")
+}
+
+// startCluster brings up a coordinator with n loopback workers and dc
+// registered as the default domain, and waits for full membership.
+func startCluster(t *testing.T, dc admission.DomainConfig, n int) (*Coordinator, map[string]func()) {
 	t.Helper()
 	coord := NewCoordinator(CoordinatorOptions{
 		Seed:             42,
@@ -217,7 +229,6 @@ func startCluster(t *testing.T, cfg sim.Config, algorithm string, n int) (*Coord
 		DispatchTimeout:  30 * time.Second,
 	})
 	t.Cleanup(func() { coord.Close() })
-	dc := admission.DomainConfig{Net: cfg.Net, KPaths: cfg.KPaths, Algorithm: algorithm}
 	if err := coord.RegisterDomain("", dc); err != nil {
 		t.Fatal(err)
 	}
@@ -269,9 +280,13 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 				t.Fatal(err)
 			}
 			reqs := requestsOf(cfg)
-			want := engineReplay(t, cfg, reqs, spec.Algorithm, spec.ReofferPending, nil, nil)
+			dc := admission.DomainConfig{Net: cfg.Net, KPaths: cfg.KPaths, Algorithm: spec.Algorithm}
+			want := engineReplay(t, cfg, reqs, dc, spec.ReofferPending, nil)
+			if anyRoundFailed(want) {
+				t.Fatalf("setup: a round failed in-process:\n%s", strings.Join(want, "\n"))
+			}
 			for _, workers := range []int{1, 2, 4} {
-				coord, stops := startCluster(t, cfg, spec.Algorithm, workers)
+				coord, stops := startCluster(t, dc, workers)
 				kill := func(epoch int) {
 					if workers < 2 || epoch != equalityEpochs/2 {
 						return
@@ -290,10 +305,71 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 					stop()
 					waitMembersAtMost(t, coord, workers-1)
 				}
-				got := engineReplay(t, cfg, reqs, spec.Algorithm, spec.ReofferPending, coord, kill)
+				cdc := dc
+				cdc.Executor = coord
+				got := engineReplay(t, cfg, reqs, cdc, spec.ReofferPending, kill)
 				if diff := firstDiff(want, got); diff != "" {
 					t.Fatalf("workers=%d diverged from single-process engine:\n%s", workers, diff)
 				}
+			}
+		})
+	}
+}
+
+// remoteOnly is an Executor that fails the test if the coordinator hands
+// a round back for a local solve: the worker must decide every round, or
+// an equality check against the in-process engine proves nothing.
+type remoteOnly struct {
+	t *testing.T
+	c *Coordinator
+}
+
+func (x remoteOnly) SolveRound(domain string, seq uint64, events []topology.Event, tenants []core.TenantSpec) (*core.Decision, error) {
+	dec, err := x.c.SolveRound(domain, seq, events, tenants)
+	if errors.Is(err, admission.ErrSolveLocally) {
+		x.t.Errorf("round %d of %q was not decided by a worker", seq, domain)
+	}
+	return dec, err
+}
+
+// TestWorkerMatchesInProcess pins the worker's copy of the domain config
+// to the engine's: a metro pod (its edge CU sits on a switch node, which
+// the topology JSON must carry), a domain with topology events, and the
+// same domain under hard capacity (BigM < 0, which normalizes to 0 and
+// must not re-default on the worker; its outage rounds fail where soft
+// capacity would lease a deficit) each decide every round on a loopback
+// worker exactly as the in-process engine does.
+func TestWorkerMatchesInProcess(t *testing.T) {
+	for _, tc := range []struct {
+		name, archetype string
+		bigM            float64
+	}{
+		{"metro-pod", "metro", 0},
+		{"topology-events", "outage", 0},
+		{"hard-capacity", "outage", -1},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			spec := ciSized(archetypeByName(t, tc.archetype))
+			cfg, err := spec.Compile(42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.archetype == "outage" && len(cfg.Events) == 0 {
+				t.Fatal("setup: outage archetype compiled without topology events")
+			}
+			reqs := requestsOf(cfg)
+			dc := admission.DomainConfig{Net: cfg.Net, KPaths: cfg.KPaths, Algorithm: spec.Algorithm, BigM: tc.bigM}
+			want := engineReplay(t, cfg, reqs, dc, spec.ReofferPending, nil)
+			if failed := anyRoundFailed(want); failed != (tc.bigM < 0) {
+				t.Fatalf("setup: failed rounds %v under BigM %v:\n%s", failed, tc.bigM, strings.Join(want, "\n"))
+			}
+			coord, _ := startCluster(t, dc, 1)
+			dc.Executor = remoteOnly{t: t, c: coord}
+			got := engineReplay(t, cfg, reqs, dc, spec.ReofferPending, nil)
+			if diff := firstDiff(want, got); diff != "" {
+				t.Fatalf("worker diverged from the in-process engine:\n%s", diff)
 			}
 		})
 	}

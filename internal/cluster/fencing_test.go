@@ -104,7 +104,7 @@ func TestFencedStaleLeaderStopsDispatching(t *testing.T) {
 	}
 
 	// Fenced is permanent: no further round may be decided, not even by
-	// the local fallback the coordinator would use when workers are gone.
+	// the engine's local solve that ErrSolveLocally would trigger.
 	if _, err := coord.SolveRound(admission.DefaultDomain, 3, nil, testTenants()); !errors.Is(err, ErrFenced) {
 		t.Fatalf("post-fence solve: err=%v, want ErrFenced", err)
 	}

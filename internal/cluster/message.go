@@ -113,3 +113,20 @@ func NewDomainSpec(name string, dc admission.DomainConfig) (DomainSpec, error) {
 		Benders:     dc.Benders,
 	}, nil
 }
+
+// solver decodes the spec into the domain's solver — the worker's side of
+// an assign. The values are already normalized and are used verbatim.
+func (s DomainSpec) solver() (*admission.DomainSolver, error) {
+	net, err := topology.ReadJSON(bytes.NewReader(s.Net))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: domain %q topology: %w", s.Name, err)
+	}
+	sol, err := admission.NewDomainSolver(admission.DomainConfig{
+		Net: net, KPaths: s.KPaths, Algorithm: s.Algorithm,
+		BigM: s.BigM, RiskHorizon: s.RiskHorizon, Benders: s.Benders,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: domain %q: %w", s.Name, err)
+	}
+	return sol, nil
+}

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/admission"
+	"repro/internal/core"
 	"repro/internal/obslog"
 )
 
@@ -52,9 +54,6 @@ type WorkerOptions struct {
 	// HeartbeatEvery spaces the worker's pings. Default 1s; must be
 	// comfortably below the coordinator's HeartbeatTimeout.
 	HeartbeatEvery time.Duration
-	// Host holds the solver state. Default: a fresh empty host, which is
-	// right for everything except tests that pre-seed domains.
-	Host *SolverHost
 	// Gate is the fencing-epoch watermark, shared across connections when
 	// the worker dials several coordinator addresses. Default: a private
 	// gate for this connection.
@@ -62,11 +61,10 @@ type WorkerOptions struct {
 }
 
 // RunWorker serves one coordinator connection until it closes or ctx is
-// cancelled: join with a hello, heartbeat, install domains on assign,
-// and answer each round with a reply carrying the decision (or the
-// deterministic solver error). Round solves run concurrently — the
-// coordinator serializes per-domain, so concurrency here only overlaps
-// distinct domains.
+// cancelled: join with a hello, heartbeat, build each assigned domain's
+// admission.DomainSolver, and answer each round with a reply carrying the
+// decision (or the deterministic solver error). Round solves run
+// concurrently across domains; a domain's solver serializes its own.
 func RunWorker(ctx context.Context, conn net.Conn, opts WorkerOptions) error {
 	if opts.ID == "" {
 		return errors.New("cluster: worker needs an ID")
@@ -74,10 +72,9 @@ func RunWorker(ctx context.Context, conn net.Conn, opts WorkerOptions) error {
 	if opts.HeartbeatEvery <= 0 {
 		opts.HeartbeatEvery = time.Second
 	}
-	host := opts.Host
-	if host == nil {
-		host = NewSolverHost()
-	}
+	// Only this read loop touches the map: assigns write it, and each round
+	// looks its solver up here before solving on its own goroutine.
+	solvers := map[string]*admission.DomainSolver{}
 	gate := opts.Gate
 	if gate == nil {
 		gate = &EpochGate{}
@@ -156,9 +153,11 @@ func RunWorker(ctx context.Context, conn net.Conn, opts WorkerOptions) error {
 					Msg("fencing: rejected domain assign from stale leader epoch")
 				continue
 			}
-			if err := host.Register(*msg.Spec); err != nil {
+			sol, err := msg.Spec.solver()
+			if err != nil {
 				return err
 			}
+			solvers[msg.Spec.Name] = sol
 			log.Info().Str("domain", msg.Spec.Name).Str("algorithm", msg.Spec.Algorithm).
 				Msg("domain assigned")
 		case MsgRound:
@@ -172,9 +171,15 @@ func RunWorker(ctx context.Context, conn net.Conn, opts WorkerOptions) error {
 				_ = send(&Message{Type: MsgFenced, ID: msg.ID, Worker: opts.ID, Epoch: gate.Current()})
 				continue
 			}
-			go func(m Message) {
+			go func(m Message, sol *admission.DomainSolver) {
 				reply := Message{Type: MsgReply, ID: m.ID}
-				dec, err := host.Solve(m.Domain, m.Events, m.Tenants)
+				var dec *core.Decision
+				var err error
+				if sol == nil {
+					err = fmt.Errorf("cluster: domain %q not registered", m.Domain)
+				} else {
+					dec, err = sol.Solve(m.Events, m.Tenants)
+				}
 				if err != nil {
 					reply.Err = err.Error()
 				} else {
@@ -182,7 +187,7 @@ func RunWorker(ctx context.Context, conn net.Conn, opts WorkerOptions) error {
 				}
 				// A dead conn surfaces in the read loop; nothing to do here.
 				_ = send(&reply)
-			}(msg)
+			}(msg, solvers[msg.Domain])
 		default:
 			// Unknown or unsolicited types (welcome, ping) are ignored so
 			// the protocol can grow without breaking old workers.

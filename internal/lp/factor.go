@@ -173,28 +173,28 @@ type sparseLU struct {
 
 func (f *sparseLU) reset(m int) {
 	f.m = m
-	f.lPtr = growI32(f.lPtr, m+1)
-	f.ucPtr = growI32(f.ucPtr, m)
-	f.ucLen = growI32(f.ucLen, m)
-	f.urPtr = growI32(f.urPtr, m)
-	f.urLen = growI32(f.urLen, m)
-	f.uDiag = growF64(f.uDiag, m)
-	f.prow = growI32(f.prow, m)
-	f.pinv = growI32(f.pinv, m)
-	f.qcol = growI32(f.qcol, m)
-	f.qinv = growI32(f.qinv, m)
-	f.uord = growI32(f.uord, m)
-	f.upos = growI32(f.upos, m)
-	f.work = growF64(f.work, m)
-	f.step = growF64(f.step, m)
-	f.spike = growF64(f.spike, m)
-	f.bwork = growF64(f.bwork, ftranBatchMax*m)
-	f.btmp = growF64(f.btmp, ftranBatchMax)
-	f.mark = growI32(f.mark, m)
-	f.nzRows = growI32(f.nzRows, m)
-	f.touched = growU64(f.touched, (m+63)>>6)
-	f.order = growI32(f.order, m)
-	f.cnt = growI32(f.cnt, m+2)
+	f.lPtr = grow(f.lPtr, m+1)
+	f.ucPtr = grow(f.ucPtr, m)
+	f.ucLen = grow(f.ucLen, m)
+	f.urPtr = grow(f.urPtr, m)
+	f.urLen = grow(f.urLen, m)
+	f.uDiag = grow(f.uDiag, m)
+	f.prow = grow(f.prow, m)
+	f.pinv = grow(f.pinv, m)
+	f.qcol = grow(f.qcol, m)
+	f.qinv = grow(f.qinv, m)
+	f.uord = grow(f.uord, m)
+	f.upos = grow(f.upos, m)
+	f.work = grow(f.work, m)
+	f.step = grow(f.step, m)
+	f.spike = grow(f.spike, m)
+	f.bwork = grow(f.bwork, ftranBatchMax*m)
+	f.btmp = grow(f.btmp, ftranBatchMax)
+	f.mark = grow(f.mark, m)
+	f.nzRows = grow(f.nzRows, m)
+	f.touched = grow(f.touched, (m+63)>>6)
+	f.order = grow(f.order, m)
+	f.cnt = grow(f.cnt, m+2)
 	f.lIdx = f.lIdx[:0]
 	f.lVal = f.lVal[:0]
 	f.ucIdx = f.ucIdx[:0]
@@ -372,8 +372,8 @@ func (f *sparseLU) refactor(r *revised) bool {
 	// identity right after a refactorization; FT updates rotate it.
 	nnz := len(f.ucIdx)
 	f.nnzU0 = nnz
-	f.urIdx = growI32(f.urIdx, nnz)
-	f.urVal = growF64(f.urVal, nnz)
+	f.urIdx = grow(f.urIdx, nnz)
+	f.urVal = grow(f.urVal, nnz)
 	for i := 0; i < m; i++ {
 		f.urLen[i] = 0
 	}
@@ -738,8 +738,8 @@ func (f *denseFactor) refactor(r *revised) bool {
 	m := r.m
 	f.m = m
 	f.updates = 0
-	f.binv = growF64(f.binv, m*m)
-	f.aug = growF64(f.aug, 2*m*m)
+	f.binv = grow(f.binv, m*m)
+	f.aug = grow(f.aug, 2*m*m)
 	aug := f.aug[: 2*m*m : 2*m*m]
 	for i := range aug {
 		aug[i] = 0

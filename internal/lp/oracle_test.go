@@ -169,8 +169,8 @@ func refRefactor(f *sparseLU, r *revised) bool {
 	}
 	nnz := len(f.ucIdx)
 	f.nnzU0 = nnz
-	f.urIdx = growI32(f.urIdx, nnz)
-	f.urVal = growF64(f.urVal, nnz)
+	f.urIdx = grow(f.urIdx, nnz)
+	f.urVal = grow(f.urVal, nnz)
 	for i := 0; i < m; i++ {
 		f.urLen[i] = 0
 	}

@@ -81,8 +81,8 @@ func (b *Basis) Reset() {
 // singular and the next warm attempt will detect it and fall back.
 func (b *Basis) capture(t *tableau) {
 	b.m, b.n = t.m, t.n
-	b.cols = growInt(b.cols, t.m)
-	b.stat = growU8(b.stat, t.width) // all nonbasic columns sit at zero
+	b.cols = grow(b.cols, t.m)
+	b.stat = grow(b.stat, t.width) // all nonbasic columns sit at zero
 	for i, c := range t.basis {
 		if c >= t.width {
 			c = t.n + i
@@ -123,8 +123,8 @@ func (b *Basis) captureBounded(p *Problem, t *tableau, lbRow, ubRow []int) {
 	}
 
 	b.m, b.n = m, n
-	b.cols = growInt(b.cols, m)[:0]
-	b.stat = growU8(b.stat, n+m)
+	b.cols = grow(b.cols, m)[:0]
+	b.stat = grow(b.stat, n+m)
 	for j := 0; j < n; j++ {
 		lbFree := lbRow[j] < 0 || markerBasic[lbRow[j]]
 		ubFree := ubRow[j] < 0 || markerBasic[ubRow[j]]

@@ -9,76 +9,14 @@
 // TestWarmSteadyStateZeroAllocs pin holds it there.
 package lp
 
-// growF64 returns a zeroed float slice of length n, reusing buf's backing
-// array when it is large enough.
-func growF64(buf []float64, n int) []float64 {
+// grow returns a zeroed slice of length n, reusing buf's backing array
+// when it is large enough.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-// growI32 is growF64 for int32 index slices.
-func growI32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-// growInt is growF64 for int slices.
-func growInt(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-// growU8 is growF64 for byte slices.
-func growU8(buf []uint8, n int) []uint8 {
-	if cap(buf) < n {
-		return make([]uint8, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-// growU64 is growF64 for bitset words.
-func growU64(buf []uint64, n int) []uint64 {
-	if cap(buf) < n {
-		return make([]uint64, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-// growBool is growF64 for bool slices.
-func growBool(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = false
-	}
+	clear(buf)
 	return buf
 }
 
@@ -163,9 +101,9 @@ func (b *Basis) prepare(p *Problem) *revised {
 		for i := range p.rows {
 			nnz += len(p.rows[i].terms)
 		}
-		ws.colPtr = growI32(ws.colPtr, n+1)
-		ws.colRow = growI32(ws.colRow, nnz)
-		ws.colVal = growF64(ws.colVal, nnz)
+		ws.colPtr = grow(ws.colPtr, n+1)
+		ws.colRow = grow(ws.colRow, nnz)
+		ws.colVal = grow(ws.colVal, nnz)
 		for i := range p.rows {
 			for _, tm := range p.rows[i].terms {
 				ws.colPtr[tm.Var+1]++
@@ -174,7 +112,7 @@ func (b *Basis) prepare(p *Problem) *revised {
 		for j := 0; j < n; j++ {
 			ws.colPtr[j+1] += ws.colPtr[j]
 		}
-		ws.fillCur = growI32(ws.fillCur, n)
+		ws.fillCur = grow(ws.fillCur, n)
 		next := ws.fillCur
 		copy(next, ws.colPtr[:n])
 		for i := range p.rows {
@@ -186,8 +124,8 @@ func (b *Basis) prepare(p *Problem) *revised {
 			}
 		}
 
-		ws.sigma = growF64(ws.sigma, m)
-		ws.pinned = growBool(ws.pinned, m)
+		ws.sigma = grow(ws.sigma, m)
+		ws.pinned = grow(ws.pinned, m)
 		for i := range p.rows {
 			switch p.rows[i].sense {
 			case LE:
@@ -200,27 +138,27 @@ func (b *Basis) prepare(p *Problem) *revised {
 			}
 		}
 
-		ws.rhs = growF64(ws.rhs, m)
-		ws.brhs = growF64(ws.brhs, m)
-		ws.candJ = growInt(ws.candJ, n+m)
-		ws.candW = growF64(ws.candW, n+m)
-		ws.candRatio = growF64(ws.candRatio, n+m)
-		ws.flipJ = growInt(ws.flipJ, n+m)
-		ws.flipDir = growF64(ws.flipDir, n+m)
-		ws.batchIn = growF64(ws.batchIn, ftranBatchMax*m)
-		ws.batchOut = growF64(ws.batchOut, ftranBatchMax*m)
-		ws.inBasis = growBool(ws.inBasis, n+m)
-		ws.xB = growF64(ws.xB, m)
-		ws.y = growF64(ws.y, m)
-		ws.u = growF64(ws.u, m)
-		ws.rho = growF64(ws.rho, m)
-		ws.unit = growF64(ws.unit, m)
-		ws.scat = growF64(ws.scat, m)
-		ws.dwRow = growF64(ws.dwRow, m)
-		ws.dwCol = growF64(ws.dwCol, n+m)
-		ws.x = growF64(ws.x, n)
-		ws.dual = growF64(ws.dual, m)
-		ws.ray = growF64(ws.ray, m)
+		ws.rhs = grow(ws.rhs, m)
+		ws.brhs = grow(ws.brhs, m)
+		ws.candJ = grow(ws.candJ, n+m)
+		ws.candW = grow(ws.candW, n+m)
+		ws.candRatio = grow(ws.candRatio, n+m)
+		ws.flipJ = grow(ws.flipJ, n+m)
+		ws.flipDir = grow(ws.flipDir, n+m)
+		ws.batchIn = grow(ws.batchIn, ftranBatchMax*m)
+		ws.batchOut = grow(ws.batchOut, ftranBatchMax*m)
+		ws.inBasis = grow(ws.inBasis, n+m)
+		ws.xB = grow(ws.xB, m)
+		ws.y = grow(ws.y, m)
+		ws.u = grow(ws.u, m)
+		ws.rho = grow(ws.rho, m)
+		ws.unit = grow(ws.unit, m)
+		ws.scat = grow(ws.scat, m)
+		ws.dwRow = grow(ws.dwRow, m)
+		ws.dwCol = grow(ws.dwCol, n+m)
+		ws.x = grow(ws.x, n)
+		ws.dual = grow(ws.dual, m)
+		ws.ray = grow(ws.ray, m)
 	}
 
 	// Cheap per-solve refresh.

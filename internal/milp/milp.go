@@ -53,22 +53,18 @@ func (s Status) String() string {
 type Options struct {
 	// MaxNodes caps the number of explored nodes; 0 means a large default.
 	MaxNodes int
-	// IntTol is the integrality tolerance; 0 means 1e-6.
-	IntTol float64
-	// Gap is the relative optimality gap at which search stops; 0 means
-	// prove optimality exactly (up to tolerances).
-	Gap float64
 }
 
 func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 200000
 	}
-	if o.IntTol == 0 {
-		o.IntTol = 1e-6
-	}
 	return o
 }
+
+// intTol is the integrality tolerance. The search always proves optimality
+// exactly (up to tolerances); there is no early-stop gap.
+const intTol = 1e-6
 
 // Solution is the result of a MILP solve.
 type Solution struct {
@@ -132,7 +128,7 @@ func Solve(p *lp.Problem, binaries []int, opts Options) (*Solution, error) {
 			// only if every binary landed on an integer.
 			triv := ps.Postsolve(nil)
 			for _, v := range binaries {
-				if math.Abs(triv.X[v]-math.Round(triv.X[v])) > opts.IntTol {
+				if math.Abs(triv.X[v]-math.Round(triv.X[v])) > intTol {
 					return sol, nil
 				}
 				triv.X[v] = math.Round(triv.X[v])
@@ -156,7 +152,7 @@ func Solve(p *lp.Problem, binaries []int, opts Options) (*Solution, error) {
 	for _, v := range binaries {
 		rc, fv := ps.Col(v)
 		if rc < 0 {
-			if math.Abs(fv-math.Round(fv)) > opts.IntTol {
+			if math.Abs(fv-math.Round(fv)) > intTol {
 				return sol, nil
 			}
 			continue
@@ -253,7 +249,7 @@ func Solve(p *lp.Problem, binaries []int, opts Options) (*Solution, error) {
 			if f > 0.5 {
 				f = 1 - f
 			}
-			if f > opts.IntTol && f > frac {
+			if f > intTol && f > frac {
 				branchVar, frac = v, f
 			}
 		}
@@ -268,9 +264,6 @@ func Solve(p *lp.Problem, binaries []int, opts Options) (*Solution, error) {
 					incumbent[v] = math.Round(incumbent[v])
 				}
 				haveIncumbent = true
-				if opts.Gap > 0 && gapClosed(q, incumbentObj, opts.Gap) {
-					break
-				}
 			}
 			continue
 		}
@@ -279,7 +272,7 @@ func Solve(p *lp.Problem, binaries []int, opts Options) (*Solution, error) {
 		for _, val := range [2]float64{rounded(res.X[branchVar]), 1 - rounded(res.X[branchVar])} {
 			// Respect the presolve-tightened base box: a fixing outside it
 			// can never be feasible, so the child is pruned at birth.
-			if val < baseLo[bi]-opts.IntTol || val > baseUp[bi]+opts.IntTol {
+			if val < baseLo[bi]-intTol || val > baseUp[bi]+intTol {
 				continue
 			}
 			child := &node{
@@ -309,15 +302,4 @@ func rounded(v float64) float64 {
 		return 1
 	}
 	return 0
-}
-
-// gapClosed reports whether every open node's bound is within the relative
-// gap of the incumbent.
-func gapClosed(q *nodeQueue, incumbent, gap float64) bool {
-	if q.Len() == 0 {
-		return true
-	}
-	best := (*q)[0].bound
-	denom := math.Max(1, math.Abs(incumbent))
-	return (incumbent-best)/denom <= gap
 }

@@ -72,8 +72,10 @@ func (n *Network) validate() error {
 		}
 	}
 	for i, cu := range n.CUs {
-		if !inRange(cu.Node) || n.Nodes[cu.Node].Kind != CUNode {
-			return fmt.Errorf("topology: CU %d references node %d which is not a CU node", i, cu.Node)
+		// A CU sits on a CU node or co-located on a switch (Metro puts each
+		// pod's edge CU on its gateway); never on a radio site.
+		if !inRange(cu.Node) || n.Nodes[cu.Node].Kind == BSNode {
+			return fmt.Errorf("topology: CU %d references node %d which is not a CU or switch node", i, cu.Node)
 		}
 		if cu.CPUCores <= 0 {
 			return fmt.Errorf("topology: CU %d has non-positive CPU pool", i)

@@ -17,11 +17,14 @@
 #      dispatch must be rejected by the workers ("fencing: rejected round
 #      dispatch"), must fail its epoch POST, and must never fall back to a
 #      local solve.
+#
+# Scratch files go under $TMPDIR (default /tmp).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+T=${TMPDIR:-/tmp}
 
-WK=/tmp/failover-check-worker
-OV=/tmp/failover-check-ovnes
+WK=$T/failover-check-worker
+OV=$T/failover-check-ovnes
 go build -o "$WK" ./cmd/ovnes-worker
 go build -o "$OV" ./cmd/ovnes
 
@@ -59,35 +62,35 @@ epochs() { # $1 = port, $2 = count
 }
 
 echo "failover-check: phase 1 — leader SIGKILL, standby takeover, byte-identical record"
-DATA=/tmp/failover-check-data
+DATA=$T/failover-check-data
 rm -rf "$DATA"; mkdir -p "$DATA"
 
 "$OV" -listen 127.0.0.1:18490 -collector 127.0.0.1:16453 -algo benders \
   -data-dir "$DATA" -snapshot-every 2 \
   -lease "$DATA/LEASE" -lease-ttl 2s \
-  -cluster-listen 127.0.0.1:19591 -log-level info 2>/tmp/failover-check-leader.err &
+  -cluster-listen 127.0.0.1:19591 -log-level info 2>$T/failover-check-leader.err &
 LEADER=$!
 PIDS+=("$LEADER")
 # The standby must not start until the leader holds the lease, or it would
 # win the empty-lease race itself and serve from epoch 0.
-wait_log /tmp/failover-check-leader.err 'msg="took leadership"' "leader never took the lease"
+wait_log $T/failover-check-leader.err 'msg="took leadership"' "leader never took the lease"
 
 "$OV" -listen 127.0.0.1:18494 -collector 127.0.0.1:16454 -algo benders \
   -data-dir "$DATA" -snapshot-every 2 \
   -lease "$DATA/LEASE" -lease-ttl 2s -standby \
-  -cluster-listen 127.0.0.1:19592 -log-level info 2>/tmp/failover-check-standby.err &
+  -cluster-listen 127.0.0.1:19592 -log-level info 2>$T/failover-check-standby.err &
 STANDBY=$!
 PIDS+=("$STANDBY")
 
 # One worker pool follows both control-plane addresses: failover needs no
 # worker reconfiguration.
-"$WK" -connect 127.0.0.1:19591,127.0.0.1:19592 -id fw1 -log-level info 2>/tmp/failover-check-w1.err &
+"$WK" -connect 127.0.0.1:19591,127.0.0.1:19592 -id fw1 -log-level info 2>$T/failover-check-w1.err &
 PIDS+=("$!")
-"$WK" -connect 127.0.0.1:19591,127.0.0.1:19592 -id fw2 -log-level info 2>/tmp/failover-check-w2.err &
+"$WK" -connect 127.0.0.1:19591,127.0.0.1:19592 -id fw2 -log-level info 2>$T/failover-check-w2.err &
 PIDS+=("$!")
 
 wait_http 18490
-wait_log /tmp/failover-check-leader.err 'worker joined' "workers never joined the leader"
+wait_log $T/failover-check-leader.err 'worker joined' "workers never joined the leader"
 register 18490
 epochs 18490 3
 echo "failover-check: SIGKILL leader pid $LEADER after epoch 3"
@@ -96,19 +99,19 @@ wait "$LEADER" 2>/dev/null || true
 
 # The lease lapses, the standby takes it, finishes replay and serves.
 wait_http 18494
-wait_log /tmp/failover-check-standby.err 'msg="took leadership"' "standby never took leadership"
+wait_log $T/failover-check-standby.err 'msg="took leadership"' "standby never took leadership"
 # The standby's state must come from the leader's log: either it tailed
 # all 3 pre-kill rounds live, or the leader's snapshot+compaction outran
 # the poll loop and the replica re-bootstrapped from the snapshot (which
 # itself encodes those rounds) — the byte-identical diffs below hold
 # either way. Silent partial replay is the failure this guards against.
-grep -q 'replayed-rounds=3' /tmp/failover-check-standby.err \
-  || grep -Eq 'snapshot-rebootstraps=[1-9]' /tmp/failover-check-standby.err \
+grep -q 'replayed-rounds=3' $T/failover-check-standby.err \
+  || grep -Eq 'snapshot-rebootstraps=[1-9]' $T/failover-check-standby.err \
   || { echo "failover-check: standby neither replayed all 3 pre-kill rounds nor re-bootstrapped from a snapshot:"; \
-       grep 'took leadership' /tmp/failover-check-standby.err; exit 1; }
+       grep 'took leadership' $T/failover-check-standby.err; exit 1; }
 epochs 18494 3
-curl -fsS 127.0.0.1:18494/yield  > /tmp/failover-check-yield-failover.json
-curl -fsS 127.0.0.1:18494/slices > /tmp/failover-check-slices-failover.json
+curl -fsS 127.0.0.1:18494/yield  > $T/failover-check-yield-failover.json
+curl -fsS 127.0.0.1:18494/slices > $T/failover-check-slices-failover.json
 kill -TERM "$STANDBY"; wait "$STANDBY" 2>/dev/null || true
 
 # Reference: the identical drive, one process, no WAL/lease/cluster.
@@ -118,33 +121,33 @@ PIDS+=("$REF")
 wait_http 18498
 register 18498
 epochs 18498 6
-curl -fsS 127.0.0.1:18498/yield  > /tmp/failover-check-yield-ref.json
-curl -fsS 127.0.0.1:18498/slices > /tmp/failover-check-slices-ref.json
+curl -fsS 127.0.0.1:18498/yield  > $T/failover-check-yield-ref.json
+curl -fsS 127.0.0.1:18498/slices > $T/failover-check-slices-ref.json
 kill -TERM "$REF"; wait "$REF" 2>/dev/null || true
 
-diff /tmp/failover-check-yield-ref.json  /tmp/failover-check-yield-failover.json
-diff /tmp/failover-check-slices-ref.json /tmp/failover-check-slices-failover.json
+diff $T/failover-check-yield-ref.json  $T/failover-check-yield-failover.json
+diff $T/failover-check-slices-ref.json $T/failover-check-slices-failover.json
 echo "failover-check: yield ledger and slice states identical across the failover"
 
 echo "failover-check: phase 2 — deposed leader fenced by the workers"
-FDIR=/tmp/failover-check-fence
+FDIR=$T/failover-check-fence
 rm -rf "$FDIR"; mkdir -p "$FDIR"
 
 # L1 holds the lease but never renews it (and has no WAL, so its first
 # fencing encounter is on the wire, at the workers).
 "$OV" -listen 127.0.0.1:18590 -collector 127.0.0.1:16553 -algo benders \
   -lease "$FDIR/LEASE" -lease-ttl 2s -lease-renew-every 1h \
-  -cluster-listen 127.0.0.1:19691 -log-level info 2>/tmp/failover-check-l1.err &
+  -cluster-listen 127.0.0.1:19691 -log-level info 2>$T/failover-check-l1.err &
 L1=$!
 PIDS+=("$L1")
 
-"$WK" -connect 127.0.0.1:19691,127.0.0.1:19692 -id fw3 -log-level info 2>/tmp/failover-check-w3.err &
+"$WK" -connect 127.0.0.1:19691,127.0.0.1:19692 -id fw3 -log-level info 2>$T/failover-check-w3.err &
 PIDS+=("$!")
-"$WK" -connect 127.0.0.1:19691,127.0.0.1:19692 -id fw4 -log-level info 2>/tmp/failover-check-w4.err &
+"$WK" -connect 127.0.0.1:19691,127.0.0.1:19692 -id fw4 -log-level info 2>$T/failover-check-w4.err &
 PIDS+=("$!")
 
 wait_http 18590
-wait_log /tmp/failover-check-l1.err 'worker joined' "workers never joined the first leader"
+wait_log $T/failover-check-l1.err 'worker joined' "workers never joined the first leader"
 register 18590
 epochs 18590 1   # sanity: dispatches fine under its own epoch
 
@@ -152,25 +155,25 @@ epochs 18590 1   # sanity: dispatches fine under its own epoch
 # under the next fencing epoch.
 "$OV" -listen 127.0.0.1:18594 -collector 127.0.0.1:16554 -algo benders \
   -lease "$FDIR/LEASE" -lease-ttl 2s \
-  -cluster-listen 127.0.0.1:19692 -log-level info 2>/tmp/failover-check-l2.err &
+  -cluster-listen 127.0.0.1:19692 -log-level info 2>$T/failover-check-l2.err &
 L2=$!
 PIDS+=("$L2")
-wait_log /tmp/failover-check-l2.err 'msg="took leadership"' "second leader never took the lapsed lease"
-wait_log /tmp/failover-check-w3.err 'epoch=2.*joined coordinator' "worker fw3 never saw the new leader"
-wait_log /tmp/failover-check-w4.err 'epoch=2.*joined coordinator' "worker fw4 never saw the new leader"
+wait_log $T/failover-check-l2.err 'msg="took leadership"' "second leader never took the lapsed lease"
+wait_log $T/failover-check-w3.err 'epoch=2.*joined coordinator' "worker fw3 never saw the new leader"
+wait_log $T/failover-check-w4.err 'epoch=2.*joined coordinator' "worker fw4 never saw the new leader"
 
 # The deposed leader's next dispatch must be rejected, not served and not
 # solved locally.
-if curl -fsS -X POST 127.0.0.1:18590/epoch > /tmp/failover-check-stale.out 2>&1; then
-  echo "failover-check: deposed leader still decided an epoch:"; cat /tmp/failover-check-stale.out; exit 1
+if curl -fsS -X POST 127.0.0.1:18590/epoch > $T/failover-check-stale.out 2>&1; then
+  echo "failover-check: deposed leader still decided an epoch:"; cat $T/failover-check-stale.out; exit 1
 fi
 grep -q 'fencing: rejected round dispatch from stale leader epoch' \
-  /tmp/failover-check-w3.err /tmp/failover-check-w4.err \
+  $T/failover-check-w3.err $T/failover-check-w4.err \
   || { echo "failover-check: no worker logged the fencing rejection"; exit 1; }
-grep -q 'coordinator fenced' /tmp/failover-check-l1.err \
+grep -q 'coordinator fenced' $T/failover-check-l1.err \
   || { echo "failover-check: deposed leader never marked itself fenced"; exit 1; }
 echo "failover-check: deposed leader fenced by the workers"
 
-rm -f /tmp/failover-check-*.err /tmp/failover-check-*.json /tmp/failover-check-stale.out "$WK" "$OV"
+rm -f $T/failover-check-*.err $T/failover-check-*.json $T/failover-check-stale.out "$WK" "$OV"
 rm -rf "$DATA" "$FDIR"
 echo "failover-check: OK"
